@@ -6,7 +6,7 @@
 //! shrunk and written to the corpus directory as a replayable artifact.
 //!
 //! ```text
-//! check [--budget=60s] [--jobs=2] [--seed=1] [--max-cases=N] [--ops=40]
+//! check [--budget=60s] [--jobs=2] [--seed=1] [--max-cases=N] [--ops=400]
 //!       [--corpus-dir=tests/corpus] [--bugs=all|name,...] [--write-corpus]
 //! ```
 //!

@@ -39,7 +39,7 @@ impl Default for CampaignConfig {
             jobs: 2,
             budget: Duration::from_secs(10),
             max_cases: None,
-            ops_per_core: 40,
+            ops_per_core: 400,
             cores: 4,
         }
     }
@@ -228,7 +228,6 @@ pub mod bugs {
     use crate::shrink::{shrink, DEFAULT_MAX_RUNS};
     use pbm_sim::{SchedulePerturbation, System};
     use pbm_types::bug::{self, InjectedBug};
-    use pbm_types::Cycle;
     use pbm_workloads::commit;
     use std::collections::BTreeMap;
 
@@ -324,22 +323,17 @@ pub mod bugs {
             sys.set_perturbation(&SchedulePerturbation::from_seed(seed));
         }
         let _ = sys.run();
-        // Durable state only changes at persist instants; probe each
-        // boundary and one cycle before it, as `run_case` does.
-        let mut points: Vec<Cycle> = vec![Cycle::ZERO];
-        points.extend(sys.persist_times());
-        for i in 0..points.len() {
-            let t = points[i];
-            points.push(Cycle::new(t.as_u64().saturating_sub(1)));
-        }
-        points.sort_unstable();
-        points.dedup();
-        for &at in &points {
-            let values: BTreeMap<u64, u32> = sys
-                .persistent_snapshot_at(at)
-                .iter()
-                .map(|(line, token)| (line.as_u64(), System::token_value(token)))
-                .collect();
+        // One forward pass over every crash point `run_case` visits,
+        // keeping the durable image's values current.
+        let mut values: BTreeMap<u64, u32> = BTreeMap::new();
+        let mut replay = sys.crash_replay();
+        while let Some((at, changes)) = replay.next_point() {
+            for c in changes {
+                match c.after {
+                    Some(token) => values.insert(c.line.as_u64(), System::token_value(token)),
+                    None => values.remove(&c.line.as_u64()),
+                };
+            }
             let Some(&flag) = values.get(&commit::FLAG_LINE) else {
                 continue;
             };

@@ -7,7 +7,8 @@
 //! * [`case`] — runs one (programs, barrier, persistency, schedule) tuple
 //!   and checks the model at every crash cycle where the durable state can
 //!   differ (NVRAM persist timestamps; undo-log durability and commit
-//!   timestamps under BSP). The sweep is exhaustive, not sampled.
+//!   timestamps under BSP). The sweep is exhaustive, not sampled, and
+//!   takes one forward pass over the run's journal.
 //! * [`campaign`] — fuzzes the full matrix of lazy barriers × persistency
 //!   models with random programs and seed-perturbed schedules (NoC hop
 //!   jitter, memory-controller service jitter, LLC bank service rotation —

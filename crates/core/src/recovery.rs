@@ -18,13 +18,28 @@
 //! satisfied by the durable value being that write *or any later write* to
 //! the same line — the intra-thread conflict rule (§3.2) guarantees the
 //! older value was durably ordered first whenever that matters.
+//!
+//! Reports are deterministic: cores, epochs and lines are checked in
+//! ascending order and the smallest offender is named.
+//!
+//! [`ConsistencyChecker::check_bep`] and
+//! [`ConsistencyChecker::check_bsp_recovered`] judge one snapshot from
+//! scratch. [`IncrementalCheck`] reaches the same verdicts across a whole
+//! crash sweep by updating its state per changed line.
 
 use crate::hb::HbGraph;
 use pbm_nvram::{DurableSnapshot, LineValue};
 use pbm_types::{CoreId, EpochId, EpochTag, LineAddr};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+
+mod incremental;
+
+pub use incremental::IncrementalCheck;
+
+/// The owner of preloaded values: no core, no epoch.
+const INITIAL: EpochTag = EpochTag::new(CoreId::new(u32::MAX), EpochId::new(u64::MAX));
 
 /// A detected violation of the persistency model.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -102,8 +117,8 @@ pub struct ConsistencyChecker {
     /// token -> (line, position in that line's sequence, epoch).
     by_token: HashMap<LineValue, (LineAddr, usize, EpochTag)>,
     /// Per epoch: the lines it wrote with the position of its *last* write
-    /// to each.
-    epoch_writes: HashMap<EpochTag, HashMap<LineAddr, usize>>,
+    /// to each. Ordered, so checks visit epochs and lines smallest first.
+    epoch_writes: BTreeMap<EpochTag, BTreeMap<LineAddr, usize>>,
     /// Recorded inter-thread dependences (source, dependent).
     dependences: Vec<(EpochTag, EpochTag)>,
 }
@@ -144,7 +159,6 @@ impl ConsistencyChecker {
     /// Panics if the token was already recorded, or if `line` already has
     /// recorded writes (preloads must precede execution).
     pub fn record_initial(&mut self, line: LineAddr, token: LineValue) {
-        const INITIAL: EpochTag = EpochTag::new(CoreId::new(u32::MAX), EpochId::new(u64::MAX));
         let seq = self.writes.entry(line).or_default();
         assert!(seq.is_empty(), "preload after writes to {line}");
         seq.push((token, INITIAL));
@@ -177,10 +191,11 @@ impl ConsistencyChecker {
     /// drained (the paper's §4 zero-extra-writes claim; asserted by
     /// `pbm-check`).
     pub fn epoch_line_write_count(&self) -> usize {
-        self.epoch_writes.values().map(HashMap::len).sum()
+        self.epoch_writes.values().map(BTreeMap::len).sum()
     }
 
-    /// The lines `tag` wrote, with its last token for each (diagnostics).
+    /// The lines `tag` wrote, ascending, with its last token for each
+    /// (diagnostics).
     pub fn epoch_write_lines(&self, tag: EpochTag) -> Vec<(LineAddr, LineValue)> {
         self.epoch_writes
             .get(&tag)
@@ -206,52 +221,57 @@ impl ConsistencyChecker {
 
     /// Checks that every write of `tag` is covered in `snap`: each written
     /// line's durable value is `tag`'s write or a newer one. Returns the
-    /// first uncovered line.
+    /// smallest uncovered line.
     pub fn epoch_complete(&self, snap: &DurableSnapshot, tag: EpochTag) -> Result<(), LineAddr> {
         let Some(lines) = self.epoch_writes.get(&tag) else {
             return Ok(()); // wrote nothing: vacuously complete
         };
         for (&line, &pos) in lines {
-            let durable_pos = snap
+            let covered = snap
                 .line(line)
-                .and_then(|tok| self.by_token.get(&tok))
-                .filter(|(l, _, _)| *l == line)
-                .map(|(_, p, _)| *p);
-            match durable_pos {
-                Some(p) if p >= pos => {}
-                _ => return Err(line),
+                .and_then(|tok| self.attribute(line, tok))
+                .is_some_and(|(p, _)| p >= pos);
+            if !covered {
+                return Err(line);
             }
         }
         Ok(())
     }
 
-    /// Per-core frontier: the newest epoch of `core` with durable effects.
-    fn durable_frontier(&self, snap: &DurableSnapshot, core: CoreId) -> Option<EpochId> {
-        self.epoch_writes
-            .keys()
-            .filter(|t| t.core == core)
-            .filter(|t| self.epoch_effect_durable(snap, **t))
-            .map(|t| t.epoch)
-            .max()
+    /// The epoch that wrote `token` to `line`, with the write's position in
+    /// that line's sequence; `None` if no store (or preload) wrote `token`
+    /// to `line`.
+    fn attribute(&self, line: LineAddr, token: LineValue) -> Option<(usize, EpochTag)> {
+        match self.by_token.get(&token) {
+            Some(&(l, pos, tag)) if l == line => Some((pos, tag)),
+            _ => None,
+        }
     }
 
-    /// All cores that recorded writes.
-    fn cores(&self) -> Vec<CoreId> {
-        let mut cores: Vec<CoreId> = self.epoch_writes.keys().map(|t| t.core).collect();
-        cores.sort();
-        cores.dedup();
-        cores
-    }
-
-    /// Checks for durable values no store ever wrote.
-    fn check_phantoms(&self, snap: &DurableSnapshot) -> Result<(), ConsistencyViolation> {
+    /// Per core, the newest epoch with a durable effect: one pass over the
+    /// snapshot. Assumes `snap` passed [`Self::check_phantoms`].
+    fn durable_frontiers(&self, snap: &DurableSnapshot) -> BTreeMap<CoreId, EpochId> {
+        let mut frontiers = BTreeMap::new();
         for (line, token) in snap.iter() {
-            match self.by_token.get(&token) {
-                Some((l, _, _)) if *l == line => {}
-                _ => return Err(ConsistencyViolation::PhantomValue { line, token }),
+            if let Some((_, tag)) = self.attribute(line, token).filter(|(_, t)| *t != INITIAL) {
+                let f = frontiers.entry(tag.core).or_insert(tag.epoch);
+                *f = (*f).max(tag.epoch);
             }
         }
-        Ok(())
+        frontiers
+    }
+
+    /// Checks for durable values no store ever wrote (the smallest such
+    /// line is reported).
+    fn check_phantoms(&self, snap: &DurableSnapshot) -> Result<(), ConsistencyViolation> {
+        match snap
+            .iter()
+            .filter(|&(line, token)| self.attribute(line, token).is_none())
+            .min_by_key(|&(line, _)| line)
+        {
+            Some((line, token)) => Err(ConsistencyViolation::PhantomValue { line, token }),
+            None => Ok(()),
+        }
     }
 
     /// Checks the BEP ordering invariants against a crash snapshot.
@@ -261,30 +281,28 @@ impl ConsistencyChecker {
     /// Returns the first [`ConsistencyViolation`] found.
     pub fn check_bep(&self, snap: &DurableSnapshot) -> Result<(), ConsistencyViolation> {
         self.check_phantoms(snap)?;
+        let frontiers = self.durable_frontiers(snap);
         // Program order: everything strictly below the durable frontier of
         // each core must be complete.
-        for core in self.cores() {
-            let Some(frontier) = self.durable_frontier(snap, core) else {
-                continue;
-            };
-            for tag in self.epoch_writes.keys().filter(|t| t.core == core) {
-                if tag.epoch < frontier {
-                    if let Err(line) = self.epoch_complete(snap, *tag) {
-                        return Err(ConsistencyViolation::IncompleteEpoch {
-                            epoch: *tag,
-                            line,
-                            because: CompletionReason::ProgramOrder { newer: frontier },
-                        });
-                    }
+        for (&core, &frontier) in &frontiers {
+            let older = EpochTag::new(core, EpochId::new(0))..EpochTag::new(core, frontier);
+            for &tag in self.epoch_writes.range(older).map(|(t, _)| t) {
+                if let Err(line) = self.epoch_complete(snap, tag) {
+                    return Err(ConsistencyViolation::IncompleteEpoch {
+                        epoch: tag,
+                        line,
+                        because: CompletionReason::ProgramOrder { newer: frontier },
+                    });
                 }
             }
         }
-        // Inter-thread dependences: once the dependent (or anything after
-        // it on its core) is durably visible, the source must be complete.
+        // Inter-thread dependences, in recording order: once the dependent
+        // (or anything after it on its core) is durably visible, the source
+        // must be complete.
         for &(source, dependent) in &self.dependences {
-            let dep_started = self
-                .durable_frontier(snap, dependent.core)
-                .is_some_and(|f| f >= dependent.epoch);
+            let dep_started = frontiers
+                .get(&dependent.core)
+                .is_some_and(|&f| f >= dependent.epoch);
             if dep_started {
                 if let Err(line) = self.epoch_complete(snap, source) {
                     return Err(ConsistencyViolation::IncompleteEpoch {
@@ -308,12 +326,10 @@ impl ConsistencyChecker {
     pub fn check_bsp_recovered(&self, snap: &DurableSnapshot) -> Result<(), ConsistencyViolation> {
         self.check_bep(snap)?;
         // Atomicity: any epoch with a durable effect must be complete.
-        let mut tags: Vec<&EpochTag> = self.epoch_writes.keys().collect();
-        tags.sort();
-        for tag in tags {
-            if self.epoch_effect_durable(snap, *tag) {
-                if let Err(line) = self.epoch_complete(snap, *tag) {
-                    return Err(ConsistencyViolation::PartialEpoch { epoch: *tag, line });
+        for &tag in self.epoch_writes.keys() {
+            if self.epoch_effect_durable(snap, tag) {
+                if let Err(line) = self.epoch_complete(snap, tag) {
+                    return Err(ConsistencyViolation::PartialEpoch { epoch: tag, line });
                 }
             }
         }
@@ -472,6 +488,56 @@ mod tests {
             .unwrap();
         ck.check_bsp_recovered(&snap(&[(1, 101), (2, 102), (3, 103)]))
             .unwrap();
+    }
+
+    /// Two cores, each with a 40-line epoch 0 and an epoch 1, and 40
+    /// phantom lines when `phantoms`; only the epoch-1 lines and the
+    /// phantoms are durable. Every build hashes with fresh `RandomState`s.
+    fn multi_violation(phantoms: bool) -> (ConsistencyChecker, DurableSnapshot) {
+        let mut ck = ConsistencyChecker::new();
+        let mut durable = Vec::new();
+        for core in 0..2u32 {
+            let base = u64::from(core) * 1000;
+            for l in 0..40 {
+                ck.record_write(LineAddr::new(base + l), base + l + 1, tag(core, 0));
+            }
+            ck.record_write(LineAddr::new(base + 500), base + 501, tag(core, 1));
+            durable.push((base + 500, base + 501));
+        }
+        if phantoms {
+            durable.extend((0..40).map(|l| (5000 + l, 9000 + l)));
+        }
+        (ck, snap(&durable))
+    }
+
+    #[test]
+    fn reports_name_the_smallest_offender_every_time() {
+        let first = |phantoms| {
+            let (ck, s) = multi_violation(phantoms);
+            (
+                ck.check_bep(&s).unwrap_err(),
+                ck.check_bsp_recovered(&s).unwrap_err(),
+            )
+        };
+        assert_eq!(first(true), first(true));
+        assert_eq!(
+            first(true).0,
+            ConsistencyViolation::PhantomValue {
+                line: LineAddr::new(5000),
+                token: 9000
+            }
+        );
+        assert_eq!(first(false), first(false));
+        assert_eq!(
+            first(false).0,
+            ConsistencyViolation::IncompleteEpoch {
+                epoch: tag(0, 0),
+                line: LineAddr::new(0),
+                because: CompletionReason::ProgramOrder {
+                    newer: EpochId::new(1)
+                },
+            }
+        );
     }
 
     #[test]

@@ -87,16 +87,23 @@ impl NvramDevice {
     /// Panics if the device was not created [`Self::with_history`] — asking
     /// for a historical snapshot without a journal is a test-harness bug.
     pub fn snapshot_at(&self, at: Cycle) -> DurableSnapshot {
-        let history = self
-            .history
-            .as_ref()
-            .expect("snapshot_at requires NvramDevice::with_history");
         let mut lines = HashMap::new();
-        for &(t, line, value) in history.iter().filter(|(t, _, _)| *t <= at) {
-            let _ = t;
+        for &(_, line, value) in self.journal().iter().filter(|(t, _, _)| *t <= at) {
             lines.insert(line, value);
         }
         DurableSnapshot::new(lines, at)
+    }
+
+    /// Every durable write as `(completion cycle, line, value)`, in the
+    /// order [`Self::persist`] was called.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the device was not created [`Self::with_history`].
+    pub(crate) fn journal(&self) -> &[(Cycle, LineAddr, LineValue)] {
+        self.history
+            .as_deref()
+            .expect("the write journal requires NvramDevice::with_history")
     }
 
     /// The current durable state as a snapshot (works without history).
@@ -115,11 +122,7 @@ impl NvramDevice {
     ///
     /// Panics if the device was not created [`Self::with_history`].
     pub fn persist_times(&self) -> Vec<Cycle> {
-        let history = self
-            .history
-            .as_ref()
-            .expect("persist_times requires NvramDevice::with_history");
-        let mut times: Vec<Cycle> = history.iter().map(|&(t, _, _)| t).collect();
+        let mut times: Vec<Cycle> = self.journal().iter().map(|&(t, _, _)| t).collect();
         times.sort_unstable();
         times.dedup();
         times

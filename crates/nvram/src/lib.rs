@@ -5,7 +5,9 @@
 //! parallelism, a write-ahead undo-log region (for BSP bulk mode, §5.2.1),
 //! and — crucially for a *checkable* reproduction — an optional write
 //! history from which the durable state at any past cycle can be
-//! reconstructed, so crash consistency can be verified offline.
+//! reconstructed, so crash consistency can be verified offline, either
+//! one cycle at a time or in one forward pass over every crash point
+//! ([`CrashReplay`]).
 //!
 //! Line contents are modelled as a single [`LineValue`] token per 64-byte
 //! line. Ordering and atomicity — the properties persist barriers exist to
@@ -34,8 +36,10 @@ mod controller;
 mod crash;
 mod device;
 mod log;
+mod replay;
 
 pub use controller::{mc_for_line, McTiming};
 pub use crash::DurableSnapshot;
 pub use device::{LineValue, NvramDevice};
 pub use log::{LogRecord, UndoLog};
+pub use replay::{CrashReplay, LineChange};

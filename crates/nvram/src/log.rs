@@ -8,6 +8,7 @@
 
 use crate::device::LineValue;
 use pbm_types::{Cycle, EpochTag, LineAddr};
+use std::collections::HashMap;
 
 /// One undo-log entry: the pre-image of a line modified by an epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,6 +35,9 @@ pub struct LogRecord {
 #[derive(Debug, Clone, Default)]
 pub struct UndoLog {
     records: Vec<LogRecord>,
+    /// Per epoch: indices into `records` of its not-yet-committed records,
+    /// so a commit touches only its own epoch's records.
+    uncommitted: HashMap<EpochTag, Vec<usize>>,
     appended: u64,
     committed_epochs: u64,
 }
@@ -67,6 +71,10 @@ impl UndoLog {
             .last()
             .map_or(durable_at, |r| durable_at.max(r.durable_at));
         self.appended += 1;
+        self.uncommitted
+            .entry(tag)
+            .or_default()
+            .push(self.records.len());
         self.records.push(LogRecord {
             tag,
             line,
@@ -80,16 +88,13 @@ impl UndoLog {
     /// Marks every record of `tag` committed, with the commit marker
     /// durable at `at`. Idempotent per epoch.
     pub fn commit_epoch(&mut self, tag: EpochTag, at: Cycle) {
-        let mut any = false;
-        for r in self.records.iter_mut().filter(|r| r.tag == tag) {
-            if r.committed_at.is_none() {
-                r.committed_at = Some(at);
-                any = true;
-            }
+        let Some(indices) = self.uncommitted.remove(&tag) else {
+            return;
+        };
+        for i in indices {
+            self.records[i].committed_at = Some(at);
         }
-        if any {
-            self.committed_epochs += 1;
-        }
+        self.committed_epochs += 1;
     }
 
     /// All records, in append order.
@@ -123,6 +128,13 @@ impl UndoLog {
         let before = self.records.len();
         self.records
             .retain(|r| !matches!(r.committed_at, Some(c) if c <= at));
+        // Surviving records moved; re-index the uncommitted ones.
+        self.uncommitted.clear();
+        for (i, r) in self.records.iter().enumerate() {
+            if r.committed_at.is_none() {
+                self.uncommitted.entry(r.tag).or_default().push(i);
+            }
+        }
         before - self.records.len()
     }
 }
@@ -188,5 +200,22 @@ mod tests {
         assert_eq!(log.truncate_committed(Cycle::new(20)), 1);
         assert_eq!(log.records().len(), 1);
         assert_eq!(log.records()[0].tag, tag(0, 1));
+        // The survivor is still found by its epoch's commit.
+        log.commit_epoch(tag(0, 1), Cycle::new(30));
+        assert_eq!(log.records()[0].committed_at, Some(Cycle::new(30)));
+        assert_eq!(log.committed_epoch_count(), 2);
+    }
+
+    #[test]
+    fn commit_marks_only_its_epoch() {
+        let mut log = UndoLog::new();
+        log.append(tag(0, 0), LineAddr::new(1), Some(1), Cycle::new(1));
+        log.append(tag(1, 0), LineAddr::new(2), Some(2), Cycle::new(2));
+        log.append(tag(0, 0), LineAddr::new(3), Some(3), Cycle::new(3));
+        log.commit_epoch(tag(0, 0), Cycle::new(9));
+        let committed: Vec<_> = log.records().iter().map(|r| r.committed_at).collect();
+        assert_eq!(committed, [Some(Cycle::new(9)), None, Some(Cycle::new(9))]);
+        log.commit_epoch(tag(2, 0), Cycle::new(10)); // no records: not counted
+        assert_eq!(log.committed_epoch_count(), 1);
     }
 }

@@ -6,7 +6,7 @@ use pbm_cache::CacheArray;
 use pbm_core::recovery::ConsistencyChecker;
 use pbm_core::{BarrierSemantics, EpochArbiter};
 use pbm_noc::{Mesh, MessageClass};
-use pbm_nvram::{DurableSnapshot, LineValue, McTiming, NvramDevice, UndoLog};
+use pbm_nvram::{CrashReplay, DurableSnapshot, LineValue, McTiming, NvramDevice, UndoLog};
 use pbm_obs::{Observer, Sampler};
 use pbm_types::{
     Addr, BankId, BarrierKind, ConfigError, CoreId, Cycle, EpochId, EpochPhase, EpochTag, LineAddr,
@@ -529,6 +529,18 @@ impl System {
             .filter(|(l, _)| l.base().as_u64() < VOLATILE_BASE || self.sem.needs_logging())
             .collect();
         DurableSnapshot::new(lines, at)
+    }
+
+    /// A forward replay of every crash point of the run: the image at each
+    /// is [`System::persistent_snapshot_at`], after
+    /// [`DurableSnapshot::recover_with`] the undo log when the persistency
+    /// model logs (BSP). Requires [`System::enable_checking`] before the
+    /// run.
+    pub fn crash_replay(&self) -> CrashReplay<'_> {
+        let logging = self.sem.needs_logging();
+        CrashReplay::new(&self.nvram, logging.then_some(&self.log), move |l| {
+            l.base().as_u64() < VOLATILE_BASE || logging
+        })
     }
 
     /// The consistency checker journal (populated when checking was

@@ -6,6 +6,8 @@ use std::fmt;
 /// A fixed-bucket power-of-two histogram for latency-like quantities.
 ///
 /// Bucket `i` counts samples in `[2^i, 2^(i+1))`; bucket 0 also counts 0.
+/// Buckets are stored only up to the highest occupied one, so an empty
+/// histogram allocates nothing and a copy of a typical one stays small.
 ///
 /// # Example
 ///
@@ -18,7 +20,7 @@ use std::fmt;
 /// assert_eq!(h.max(), 1000);
 /// assert!(h.mean() > 500.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Histogram {
     buckets: Vec<u64>,
     count: u64,
@@ -30,7 +32,7 @@ impl Histogram {
     /// Creates an empty histogram.
     pub fn new() -> Self {
         Histogram {
-            buckets: vec![0; 64],
+            buckets: Vec::new(),
             count: 0,
             sum: 0,
             max: 0,
@@ -44,6 +46,9 @@ impl Histogram {
         } else {
             63 - value.leading_zeros() as usize
         };
+        if bucket >= self.buckets.len() {
+            self.buckets.resize(bucket + 1, 0);
+        }
         self.buckets[bucket] += 1;
         self.count += 1;
         self.sum += value;
@@ -150,6 +155,9 @@ impl Histogram {
 
     /// Merges another histogram into this one.
     pub fn merge(&mut self, other: &Histogram) {
+        if self.buckets.len() < other.buckets.len() {
+            self.buckets.resize(other.buckets.len(), 0);
+        }
         for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
             *a += b;
         }
@@ -162,6 +170,20 @@ impl Histogram {
 impl Default for Histogram {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+impl fmt::Debug for Histogram {
+    /// Shows all 64 buckets, occupied or not.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut buckets = [0u64; 64];
+        buckets[..self.buckets.len()].copy_from_slice(&self.buckets);
+        f.debug_struct("Histogram")
+            .field("buckets", &buckets)
+            .field("count", &self.count)
+            .field("sum", &self.sum)
+            .field("max", &self.max)
+            .finish()
     }
 }
 
@@ -381,6 +403,19 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.count(), 2);
         assert_eq!(a.max(), 100);
+    }
+
+    #[test]
+    fn merged_equals_recorded() {
+        let (mut a, mut b, mut both) = (Histogram::new(), Histogram::new(), Histogram::new());
+        a.record(3);
+        b.record(70_000);
+        both.record(3);
+        both.record(70_000);
+        a.merge(&b);
+        assert_eq!(a, both);
+        b.merge(&Histogram::new());
+        assert_eq!(b.nonzero_buckets(), [(65_536, 131_071, 1)]);
     }
 
     #[test]
