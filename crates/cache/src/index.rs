@@ -6,8 +6,7 @@ use std::collections::{BTreeSet, HashMap};
 /// Tracks, per epoch, exactly which resident lines it dirtied.
 ///
 /// The paper's flush engine keeps a per-epoch bitmap over cache sets
-/// (modelled in [`EpochBitmap`](crate::EpochBitmap)) and scans the marked
-/// sets when flushing. The simulator uses this exact index for the actual
+/// (one bit per 64 sets) and scans the marked sets when flushing. The simulator uses this exact index for the actual
 /// line enumeration — same answer as the hardware's scan, without the
 /// simulation cost of walking sets. Lines are kept sorted so flush order is
 /// deterministic.

@@ -239,10 +239,7 @@ mod tests {
     /// A journal from `(line, core, epoch)` writes (tokens 100, 101, ...),
     /// preloads of lines 0 and 1 (tokens 1, 2) and `(source, dependent)`
     /// dependences.
-    fn journal(
-        writes: &[(u64, u32, u64)],
-        deps: &[Dep],
-    ) -> ConsistencyChecker {
+    fn journal(writes: &[(u64, u32, u64)], deps: &[Dep]) -> ConsistencyChecker {
         let tag = |(c, e): (u32, u64)| EpochTag::new(CoreId::new(c), EpochId::new(e));
         let mut ck = ConsistencyChecker::new();
         ck.record_initial(LineAddr::new(0), 1);

@@ -6,16 +6,15 @@
 //!
 //! * a **cycle-stamped structured event trace** ([`TraceEvent`] stream),
 //!   exportable as Chrome trace-event JSON loadable in Perfetto
-//!   ([`chrome::export_chrome_trace`]) or as a line-oriented JSON event
-//!   log ([`codec`]);
+//!   ([`chrome::export_chrome_trace`]);
 //! * a **periodic time-series** of [`MetricSample`] rows, exportable as
 //!   CSV ([`metrics_csv`]).
 //!
-//! The simulator talks to this crate through [`Observer`], which holds a
-//! boxed [`TraceSink`]. The default sink is [`NullSink`] and the observer
-//! keeps an `enabled` fast-path flag, so an un-instrumented run pays one
-//! predictable branch per instrumentation point and never constructs an
-//! event (verified by the `obs_overhead` Criterion bench in `pbm-bench`).
+//! The simulator talks to this crate through [`Observer`], which either
+//! drops events or buffers them in memory. It keeps an `enabled` fast-path
+//! flag, so an un-instrumented run pays one predictable branch per
+//! instrumentation point and never constructs an event (verified by the
+//! `obs_overhead` Criterion bench in `pbm-bench`).
 //!
 //! Everything here is deterministic: traces carry simulated cycles, never
 //! wall-clock time, so two runs of the same seed produce byte-identical
@@ -24,28 +23,25 @@
 #![warn(missing_docs, missing_debug_implementations)]
 
 pub mod chrome;
-pub mod codec;
 pub mod json;
 mod sampler;
-mod sink;
 
 pub use pbm_types::{
     EpochPhase, FlushReason, MetricSample, NocClass, StallKind, TraceEvent, TraceEventKind,
 };
 pub use sampler::Sampler;
-pub use sink::{NullSink, RingSink, TraceBuffer, TraceSink};
 
 use pbm_types::Cycle;
 
 /// The simulator's handle to the observability layer.
 ///
-/// Construct with [`Observer::disabled`] (the default for ordinary runs)
-/// or [`Observer::buffering`] to capture events in memory; attach a
+/// Construct with [`Observer::disabled`] (the default for ordinary runs),
+/// capture events in memory with [`Observer::with_buffer`] and attach a
 /// [`Sampler`] with [`Observer::with_sampler`].
 #[derive(Debug)]
 pub struct Observer {
     enabled: bool,
-    sink: Box<dyn TraceSink>,
+    events: Vec<TraceEvent>,
     sampler: Option<Sampler>,
 }
 
@@ -54,52 +50,22 @@ impl Observer {
     pub fn disabled() -> Self {
         Observer {
             enabled: false,
-            sink: Box::new(NullSink),
+            events: Vec::new(),
             sampler: None,
         }
     }
 
-    /// An observer that records every event into an in-memory buffer,
-    /// retrievable with [`Observer::take_events`].
-    pub fn buffering() -> Self {
-        Observer {
-            enabled: true,
-            sink: Box::new(TraceBuffer::new()),
-            sampler: None,
-        }
-    }
-
-    /// An observer that retains only the most recent `capacity` events in
-    /// a bounded ring ([`RingSink`]): constant memory for arbitrarily long
-    /// runs, at the cost of losing the oldest events (the sink's drop
-    /// counter records how many).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn ring(capacity: usize) -> Self {
-        Observer::with_sink(Box::new(RingSink::new(capacity)))
-    }
-
-    /// An observer feeding a custom sink.
-    pub fn with_sink(sink: Box<dyn TraceSink>) -> Self {
-        Observer {
-            enabled: sink.is_enabled(),
-            sink,
-            sampler: None,
-        }
+    /// Records every event into an in-memory buffer, retrievable with
+    /// [`Observer::take_events`]. Keeps any attached sampler.
+    pub fn with_buffer(mut self) -> Self {
+        self.enabled = true;
+        self
     }
 
     /// Attaches a periodic metrics sampler.
     pub fn with_sampler(mut self, sampler: Sampler) -> Self {
         self.sampler = Some(sampler);
         self
-    }
-
-    /// Consumes the observer, returning its sampler (so a caller swapping
-    /// sinks can carry the sampler — and any collected rows — across).
-    pub fn into_sampler(self) -> Option<Sampler> {
-        self.sampler
     }
 
     /// True if events will be recorded.
@@ -138,7 +104,7 @@ impl Observer {
     #[inline]
     pub fn record(&mut self, event: TraceEvent) {
         if self.enabled {
-            self.sink.record(event);
+            self.events.push(event);
         }
     }
 
@@ -151,9 +117,9 @@ impl Observer {
     }
 
     /// Drains buffered events (empty unless built with
-    /// [`Observer::buffering`] or a draining custom sink).
+    /// [`Observer::with_buffer`]).
     pub fn take_events(&mut self) -> Vec<TraceEvent> {
-        self.sink.drain()
+        std::mem::take(&mut self.events)
     }
 
     /// Drains collected metric samples.
@@ -211,7 +177,7 @@ mod tests {
 
     #[test]
     fn buffering_observer_keeps_order() {
-        let mut obs = Observer::buffering();
+        let mut obs = Observer::disabled().with_buffer();
         assert!(obs.is_enabled());
         obs.record(ev(1));
         obs.record(ev(2));
@@ -223,7 +189,9 @@ mod tests {
 
     #[test]
     fn sampler_cadence() {
-        let mut obs = Observer::buffering().with_sampler(Sampler::every(Cycle::new(100)));
+        let mut obs = Observer::disabled()
+            .with_buffer()
+            .with_sampler(Sampler::every(Cycle::new(100)));
         assert!(!obs.sample_due(Cycle::new(50)));
         assert!(obs.sample_due(Cycle::new(100)));
         obs.push_sample(MetricSample {

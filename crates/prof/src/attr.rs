@@ -193,7 +193,7 @@ pub struct Profile {
     /// Sum of all barriers' attributions.
     pub totals: Attribution,
     /// Epochs that started flushing but never reached `PersistCMP`
-    /// (truncated trace, e.g. a ring sink that dropped the tail).
+    /// (a truncated or malformed trace).
     pub incomplete: u64,
     /// Deadlock-avoidance epoch splits observed (§3.3).
     pub deadlock_splits: u64,

@@ -355,7 +355,7 @@ fn truncated_trace_counts_incomplete_epochs() {
     assert_eq!(profile.incomplete, 1);
 }
 
-/// A missing `FlushRequested` (older trace, or it fell off a ring sink)
+/// A missing `FlushRequested` (an older or truncated trace)
 /// falls back to the flush start — attribution still conserves.
 #[test]
 fn missing_request_anchor_falls_back_to_flush_start() {

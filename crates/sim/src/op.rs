@@ -117,26 +117,21 @@ impl Op {
             .get("op")
             .and_then(JsonValue::as_str)
             .ok_or("op object without \"op\" field")?;
-        let addr = || {
-            v.get("addr")
+        let field = |key: &str| {
+            v.get(key)
                 .and_then(JsonValue::as_u64)
-                .map(Addr::new)
-                .ok_or(format!("op {name:?} without \"addr\""))
+                .ok_or(format!("op {name:?} without \"{key}\""))
+        };
+        let addr = || field("addr").map(Addr::new);
+        let narrow = |key: &str| {
+            let n = field(key)?;
+            u32::try_from(n).map_err(|_| format!("op {name:?} field \"{key}\" out of range: {n}"))
         };
         Ok(match name {
             "load" => Op::Load(addr()?),
-            "store" => Op::Store(
-                addr()?,
-                v.get("value")
-                    .and_then(JsonValue::as_u64)
-                    .ok_or("store without \"value\"")? as u32,
-            ),
+            "store" => Op::Store(addr()?, narrow("value")?),
             "barrier" => Op::Barrier,
-            "compute" => Op::Compute(
-                v.get("cycles")
-                    .and_then(JsonValue::as_u64)
-                    .ok_or("compute without \"cycles\"")? as u32,
-            ),
+            "compute" => Op::Compute(narrow("cycles")?),
             "lock" => Op::Lock(addr()?),
             "unlock" => Op::Unlock(addr()?),
             "txend" => Op::TxEnd,
@@ -277,6 +272,7 @@ impl ProgramBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn builder_round_trip() {
@@ -334,11 +330,43 @@ mod tests {
             r#"{"op":"store","addr":64,"value":7}"#
         );
         assert!(Op::from_json_value(&JsonValue::Null).is_err());
+        let too_big = u64::from(u32::MAX) + 1;
+        for (name, key) in [("store", "value"), ("compute", "cycles")] {
+            let op = JsonValue::Object(vec![
+                ("op".into(), JsonValue::Str(name.into())),
+                ("addr".into(), JsonValue::Num(64)),
+                (key.into(), JsonValue::Num(too_big)),
+            ]);
+            let err = Op::from_json_value(&op).expect_err("out-of-range field rejected");
+            assert!(err.contains(key), "{err}");
+        }
         assert!(Op::from_json_value(&JsonValue::Object(vec![(
             "op".into(),
             JsonValue::Str("jmp".into())
         )]))
         .is_err());
+    }
+
+    proptest! {
+        #[test]
+        fn prop_json_round_trip(ops in proptest::collection::vec(
+            prop_oneof![
+                (0u64..1 << 41).prop_map(|a| Op::Load(Addr::new(a))),
+                ((0u64..1 << 41), any::<u32>()).prop_map(|(a, v)| Op::Store(Addr::new(a), v)),
+                Just(Op::Barrier),
+                any::<u32>().prop_map(Op::Compute),
+                (0u64..1 << 41).prop_map(|a| Op::Lock(Addr::new(a))),
+                (0u64..1 << 41).prop_map(|a| Op::Unlock(Addr::new(a))),
+                Just(Op::TxEnd),
+            ],
+            0..60,
+        )) {
+            let p: Program = ops.into_iter().collect();
+            let text = p.to_json_value().to_json();
+            let doc = pbm_obs::json::parse(&text).expect("valid JSON");
+            let round = Program::from_json_value(&doc).expect("parses");
+            prop_assert_eq!(p, round);
+        }
     }
 
     #[test]

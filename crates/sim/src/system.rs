@@ -210,26 +210,15 @@ impl System {
         self.checker = Some(ConsistencyChecker::new());
     }
 
-    /// Replaces the observer wholesale (custom sink / sampler setups).
-    /// Call before [`System::run`].
-    pub fn set_observer(&mut self, obs: Observer) {
-        self.obs = obs;
-    }
-
     /// Enables cycle-stamped event tracing into an in-memory buffer,
     /// preserving any sampler already attached. Retrieve the events after
     /// the run with [`System::take_trace_events`].
     pub fn enable_tracing(&mut self) {
-        let old = std::mem::take(&mut self.obs);
-        let mut obs = Observer::buffering();
-        if let Some(s) = old.into_sampler() {
-            obs = obs.with_sampler(s);
-        }
-        self.obs = obs;
+        self.obs = std::mem::take(&mut self.obs).with_buffer();
     }
 
     /// Enables periodic metric sampling every `interval` cycles,
-    /// preserving the current sink. Retrieve the rows after the run with
+    /// preserving any event tracing. Retrieve the rows after the run with
     /// [`System::take_metric_samples`].
     ///
     /// # Panics
@@ -254,7 +243,7 @@ impl System {
 
     /// Records a trace event at the current cycle. The kinds are plain
     /// `Copy` structs, so constructing one unconditionally costs nothing
-    /// observable; the observer's `enabled` flag gates the sink call.
+    /// observable; the observer's `enabled` flag gates the buffer push.
     #[inline]
     pub(crate) fn emit(&mut self, kind: TraceEventKind) {
         if self.obs.is_enabled() {
@@ -661,14 +650,6 @@ impl System {
                 crate::access::Access::Done { at } => {
                     self.stats.loads += 1;
                     self.stats.load_cycles += (at - now).as_u64();
-                    #[cfg(feature = "trace-loads")]
-                    if (at - now).as_u64() > 500 {
-                        eprintln!(
-                            "slow load: core={core} line={} lat={}",
-                            addr.line(),
-                            (at - now).as_u64()
-                        );
-                    }
                     StepOutcome::Next(at)
                 }
                 crate::access::Access::Blocked { tag } => {

@@ -29,7 +29,7 @@ pub enum FlushReason {
 }
 
 impl FlushReason {
-    /// Every variant, in a fixed order (for tables and round-trip codecs).
+    /// Every variant, in a fixed order.
     pub const ALL: [FlushReason; 6] = [
         FlushReason::Conflict,
         FlushReason::Eviction,
@@ -49,11 +49,6 @@ impl FlushReason {
             FlushReason::Barrier => "barrier",
             FlushReason::Drain => "drain",
         }
-    }
-
-    /// Parses the name produced by [`FlushReason::name`].
-    pub fn parse(s: &str) -> Option<FlushReason> {
-        FlushReason::ALL.into_iter().find(|r| r.name() == s)
     }
 }
 
@@ -83,11 +78,6 @@ impl StallKind {
             StallKind::OnlinePersist => "online_persist",
             StallKind::Barrier => "barrier",
         }
-    }
-
-    /// Parses the name produced by [`StallKind::name`].
-    pub fn parse(s: &str) -> Option<StallKind> {
-        StallKind::ALL.into_iter().find(|k| k.name() == s)
     }
 }
 
@@ -128,11 +118,6 @@ impl EpochPhase {
             EpochPhase::Persisted => "persisted",
         }
     }
-
-    /// Parses the name produced by [`EpochPhase::name`].
-    pub fn parse(s: &str) -> Option<EpochPhase> {
-        EpochPhase::ALL.into_iter().find(|p| p.name() == s)
-    }
 }
 
 impl fmt::Display for EpochPhase {
@@ -164,11 +149,6 @@ impl NocClass {
             NocClass::Data => "data",
             NocClass::Writeback => "writeback",
         }
-    }
-
-    /// Parses the name produced by [`NocClass::name`].
-    pub fn parse(s: &str) -> Option<NocClass> {
-        NocClass::ALL.into_iter().find(|c| c.name() == s)
     }
 }
 
@@ -347,7 +327,7 @@ pub enum TraceEventKind {
 
 impl TraceEventKind {
     /// Stable snake_case name of the event kind (used as the Chrome trace
-    /// event name and in the JSON codec).
+    /// event name).
     pub const fn name(&self) -> &'static str {
         match self {
             TraceEventKind::EpochPhase { .. } => "epoch_phase",
@@ -424,20 +404,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn names_round_trip() {
-        for r in FlushReason::ALL {
-            assert_eq!(FlushReason::parse(r.name()), Some(r));
+    fn names_are_distinct_per_enum() {
+        fn distinct(names: &[&str]) -> bool {
+            names
+                .iter()
+                .collect::<std::collections::BTreeSet<_>>()
+                .len()
+                == names.len()
         }
-        for k in StallKind::ALL {
-            assert_eq!(StallKind::parse(k.name()), Some(k));
-        }
-        for p in EpochPhase::ALL {
-            assert_eq!(EpochPhase::parse(p.name()), Some(p));
-        }
-        for c in NocClass::ALL {
-            assert_eq!(NocClass::parse(c.name()), Some(c));
-        }
-        assert_eq!(FlushReason::parse("bogus"), None);
+        assert!(distinct(&FlushReason::ALL.map(FlushReason::name)));
+        assert!(distinct(&StallKind::ALL.map(StallKind::name)));
+        assert!(distinct(&EpochPhase::ALL.map(EpochPhase::name)));
+        assert!(distinct(&NocClass::ALL.map(NocClass::name)));
     }
 
     #[test]

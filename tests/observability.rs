@@ -1,10 +1,10 @@
 //! Observability integration tests: determinism of the exported
-//! artifacts, round-tripping of the event codec, and the shape of the
-//! Chrome trace produced from real simulated runs.
+//! artifacts, agreement between the event trace and the run's `SimStats`,
+//! and the shape of the Chrome trace produced from real simulated runs.
 
-use pbm::obs::{chrome, codec, json, metrics_csv};
+use pbm::obs::{chrome, json, metrics_csv};
 use pbm::prelude::*;
-use pbm_types::{MetricSample, TraceEvent, TraceEventKind};
+use pbm_types::{MetricSample, StallKind, TraceEvent, TraceEventKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -48,25 +48,24 @@ fn seeded_programs(seed: u64, cores: usize) -> Vec<Program> {
         .collect()
 }
 
-fn traced_run(seed: u64) -> (Vec<TraceEvent>, Vec<MetricSample>) {
+fn traced_run(seed: u64) -> (Vec<TraceEvent>, Vec<MetricSample>, SimStats) {
     let cfg = conflict_cfg();
     let mut sys = System::new(cfg, seeded_programs(seed, 4)).expect("valid config");
     sys.enable_tracing();
     sys.enable_metrics(Cycle::new(500));
-    sys.run();
-    (sys.take_trace_events(), sys.take_metric_samples())
+    let stats = sys.run();
+    (sys.take_trace_events(), sys.take_metric_samples(), stats)
 }
 
 #[test]
 fn same_seed_runs_export_byte_identical_artifacts() {
-    let (events_a, samples_a) = traced_run(7);
-    let (events_b, samples_b) = traced_run(7);
+    let (events_a, samples_a, _) = traced_run(7);
+    let (events_b, samples_b, _) = traced_run(7);
     assert!(!events_a.is_empty(), "trace should capture events");
     assert!(!samples_a.is_empty(), "sampler should capture rows");
     assert_eq!(
-        codec::export_events(&events_a),
-        codec::export_events(&events_b),
-        "event-log JSON must be byte-identical across same-seed runs"
+        events_a, events_b,
+        "event streams must be identical across same-seed runs"
     );
     assert_eq!(
         chrome::export_chrome_trace(&events_a, &samples_a),
@@ -82,28 +81,40 @@ fn same_seed_runs_export_byte_identical_artifacts() {
 
 #[test]
 fn different_seeds_diverge() {
-    let (events_a, _) = traced_run(7);
-    let (events_b, _) = traced_run(8);
+    let (events_a, _, _) = traced_run(7);
+    let (events_b, _, _) = traced_run(8);
     assert_ne!(
-        codec::export_events(&events_a),
-        codec::export_events(&events_b),
+        events_a, events_b,
         "different programs should produce different traces"
     );
 }
 
 #[test]
-fn event_log_round_trips_through_the_codec() {
-    let (events, _) = traced_run(11);
-    let text = codec::export_events(&events);
-    let parsed = codec::parse_events(&text).expect("exported log parses");
-    assert_eq!(parsed, events, "decode(encode(x)) == x for a real run");
-    // And re-encoding is stable.
-    assert_eq!(codec::export_events(&parsed), text);
+fn trace_totals_match_sim_stats() {
+    for seed in [7, 11, 13, 23, 29] {
+        let (events, _, stats) = traced_run(seed);
+        let mut online = 0;
+        let mut barrier = 0;
+        let mut persisted = 0;
+        for e in &events {
+            match e.kind {
+                TraceEventKind::StallEnd { kind, waited, .. } => match kind {
+                    StallKind::OnlinePersist => online += waited.as_u64(),
+                    StallKind::Barrier => barrier += waited.as_u64(),
+                },
+                TraceEventKind::PersistCmp { .. } => persisted += 1,
+                _ => {}
+            }
+        }
+        assert_eq!(online, stats.online_persist_stall_cycles, "seed {seed}");
+        assert_eq!(barrier, stats.barrier_stall_cycles, "seed {seed}");
+        assert_eq!(persisted, stats.epochs_persisted, "seed {seed}");
+    }
 }
 
 #[test]
 fn trace_covers_the_flush_handshake() {
-    let (events, _) = traced_run(13);
+    let (events, _, _) = traced_run(13);
     let has = |f: &dyn Fn(&TraceEventKind) -> bool| events.iter().any(|e| f(&e.kind));
     assert!(has(&|k| matches!(k, TraceEventKind::FlushEpoch { .. })));
     assert!(has(&|k| matches!(k, TraceEventKind::BankAck { .. })));
@@ -146,7 +157,7 @@ fn trace_covers_the_flush_handshake() {
 
 #[test]
 fn chrome_export_is_valid_and_has_per_core_epoch_tracks() {
-    let (events, samples) = traced_run(17);
+    let (events, samples, _) = traced_run(17);
     let text = chrome::export_chrome_trace(&events, &samples);
     let doc = json::parse(&text).expect("chrome trace is valid JSON");
     let evs = doc
@@ -176,7 +187,7 @@ fn chrome_export_is_valid_and_has_per_core_epoch_tracks() {
 
 #[test]
 fn metrics_counters_are_cumulative_and_time_ordered() {
-    let (_, samples) = traced_run(19);
+    let (_, samples, _) = traced_run(19);
     assert!(samples.len() >= 2, "want at least two samples");
     for w in samples.windows(2) {
         assert!(w[0].cycle < w[1].cycle);
