@@ -39,8 +39,7 @@ fn main() {
             jobs.push((format!("{nb} banks"), wl.name.to_string(), cfg, wl.clone()));
         }
     }
-    let runner = Runner::from_args("ablation_banks");
-    let results = runner.run(jobs);
+    let results = Runner::from_args().run(jobs);
 
     let mut rows = Vec::new();
     for chunk in results.chunks(banks.len()) {
@@ -62,5 +61,4 @@ fn main() {
         &rows,
     );
     println!("\npaper: arbiter keeps the banked flush at O(n) messages per epoch");
-    runner.finish();
 }

@@ -40,8 +40,7 @@ fn main() {
             jobs.push((label.to_string(), wl.name.to_string(), cfg, wl.clone()));
         }
     }
-    let runner = Runner::from_args("ablation_flush");
-    let results = runner.run(jobs);
+    let results = Runner::from_args().run(jobs);
 
     let mut rows = Vec::new();
     let mut speedups = Vec::new();
@@ -62,5 +61,4 @@ fn main() {
         &rows,
     );
     println!("\npaper: non-invalidating flush ~30% faster (speedup ~1.3)");
-    runner.finish();
 }

@@ -40,8 +40,7 @@ fn main() {
             jobs.push((format!("{p} pairs"), name.to_string(), cfg, wl.clone()));
         }
     }
-    let runner = Runner::from_args("ablation_idt_pairs");
-    let results = runner.run(jobs);
+    let results = Runner::from_args().run(jobs);
 
     let mut rows = Vec::new();
     for chunk in results.chunks(pairs.len()) {
@@ -64,5 +63,4 @@ fn main() {
         &rows,
     );
     println!("\npaper: 4 pairs per epoch (64 B per L1) suffice");
-    runner.finish();
 }

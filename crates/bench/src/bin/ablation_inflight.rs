@@ -37,8 +37,7 @@ fn main() {
             jobs.push((format!("{w} epochs"), wl.name.to_string(), cfg, wl.clone()));
         }
     }
-    let runner = Runner::from_args("ablation_inflight");
-    let results = runner.run(jobs);
+    let results = Runner::from_args().run(jobs);
 
     let mut rows = Vec::new();
     let mut per_w: Vec<Vec<f64>> = vec![Vec::new(); windows.len()];
@@ -64,5 +63,4 @@ fn main() {
         &rows,
     );
     println!("\npaper: 8 in-flight epochs (3-bit epoch id in cache tags)");
-    runner.finish();
 }

@@ -39,8 +39,7 @@ fn main() {
         wt.persistency = PersistencyKind::Strict;
         jobs.push(("WT".to_string(), wl.name.to_string(), wt, wl.clone()));
     }
-    let runner = Runner::from_args("ablation_writethrough");
-    let results = runner.run(jobs);
+    let results = Runner::from_args().run(jobs);
 
     let mut rows = Vec::new();
     let mut slowdowns = Vec::new();
@@ -58,5 +57,4 @@ fn main() {
         &rows,
     );
     println!("\npaper: write-through is ~8x slower than NP");
-    runner.finish();
 }

@@ -1,12 +1,14 @@
 //! BSP calibration sweep: every application proxy across the barrier
-//! ladder, normalized to NP — a quick way to eyeball whether the proxies
-//! still land in the paper's Figure 13/14 range after a model change.
+//! ladder ([`pbm_bench::BSP_LADDER`]), normalized to NP — a quick way to
+//! eyeball whether the proxies still land in the paper's Figure 13/14
+//! range after a model change.
 //!
 //! Run: `cargo run -p pbm-bench --release --bin calibrate_bsp -- \
-//!           [ops] [--jobs=N]`
+//!           [ops] [--quick] [--jobs=N]`
+//!
+//! `ops` is per thread: 8,000 by default, 1,000 under `--quick`.
 
-use pbm_bench::{Job, Runner};
-use pbm_types::{BarrierKind, PersistencyKind, SystemConfig};
+use pbm_bench::{bsp_ladder_jobs, quick_mode, Job, Runner, BSP_LADDER};
 use pbm_workloads::apps::{self, AppParams};
 
 fn main() {
@@ -16,48 +18,26 @@ fn main() {
         .skip(1)
         .find(|a| !a.starts_with("--"))
         .and_then(|s| s.parse().ok())
-        .unwrap_or(8000);
+        .unwrap_or(if quick_mode() { 1000 } else { 8000 });
     let mut params = AppParams::paper();
     params.ops_per_thread = ops;
-    let base = SystemConfig::micro48();
-    let ladder: [(&str, BarrierKind, u64, bool); 7] = [
-        ("NP", BarrierKind::NoPersistency, 10_000, true),
-        ("LB300", BarrierKind::Lb, 300, true),
-        ("LB1K", BarrierKind::Lb, 1000, true),
-        ("LB10K", BarrierKind::Lb, 10_000, true),
-        ("IDT", BarrierKind::LbIdt, 10_000, true),
-        ("LB++", BarrierKind::LbPp, 10_000, true),
-        ("NOLOG", BarrierKind::LbPp, 10_000, false),
-    ];
-    let mut cells: Vec<Job> = Vec::new();
-    for prof in apps::PROFILES.iter() {
-        let wl = apps::build(prof, &params);
-        for (label, kind, size, logging) in ladder {
-            let mut c = base.clone();
-            c.persistency = PersistencyKind::BufferedStrictBulk;
-            c.barrier = kind;
-            c.bsp_epoch_size = size;
-            c.logging = logging;
-            cells.push((label.to_string(), prof.name.to_string(), c, wl.clone()));
-        }
-    }
-    let runner = Runner::from_args("calibrate_bsp");
-    let results = runner.run(cells);
+    let cells: Vec<Job> = apps::PROFILES
+        .iter()
+        .flat_map(|prof| bsp_ladder_jobs(&apps::build(prof, &params)))
+        .collect();
+    let results = Runner::from_args().run(cells);
 
-    println!(
-        "{:<9} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7}",
-        "app", "LB300", "LB1K", "LB10K", "IDT", "LB++", "NOLOG"
-    );
-    for chunk in results.chunks(ladder.len()) {
-        let np_c = chunk[0].stats.cycles as f64;
-        let row: Vec<f64> = chunk[1..]
-            .iter()
-            .map(|r| r.stats.cycles as f64 / np_c)
-            .collect();
-        println!(
-            "{:<9} {:>7.2} {:>7.2} {:>7.2} {:>7.2} {:>7.2} {:>7.2}",
-            chunk[0].workload, row[0], row[1], row[2], row[3], row[4], row[5]
-        );
+    print!("{:<9}", "app");
+    for (label, ..) in &BSP_LADDER[1..] {
+        print!(" {label:>7}");
     }
-    runner.finish();
+    println!();
+    for chunk in results.chunks(BSP_LADDER.len()) {
+        let np_c = chunk[0].stats.cycles as f64;
+        print!("{:<9}", chunk[0].workload);
+        for r in &chunk[1..] {
+            print!(" {:>7.2}", r.stats.cycles as f64 / np_c);
+        }
+        println!();
+    }
 }

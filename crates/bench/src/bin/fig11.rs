@@ -6,13 +6,12 @@
 //! Run: `cargo run -p pbm-bench --release --bin fig11 [--quick] [--jobs=N]`
 
 use pbm_bench::profiling::{fig11_base, fig11_jobs};
-use pbm_bench::{gmean, print_flush_latency, print_system_header, print_table, quick_mode, Runner};
+use pbm_bench::{gmean, print_system_header, print_table, quick_mode, Runner};
 
 fn main() {
     print_system_header(&fig11_base(quick_mode()));
     let jobs = fig11_jobs(quick_mode());
-    let runner = Runner::from_args("fig11");
-    let results = runner.run(jobs);
+    let results = Runner::from_args().run(jobs);
 
     let mut rows = Vec::new();
     let mut per_kind: Vec<Vec<f64>> = vec![Vec::new(); 4];
@@ -36,7 +35,5 @@ fn main() {
         &["workload", "LB", "LB+IDT", "LB+PF", "LB++"],
         &rows,
     );
-    print_flush_latency("epoch flush latency (cycles)", &results);
     println!("\npaper gmean: LB 1.00, LB+IDT 1.03, LB+PF 1.17, LB++ 1.22");
-    runner.finish();
 }

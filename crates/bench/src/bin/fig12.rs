@@ -32,8 +32,7 @@ fn main() {
             jobs.push((kind.to_string(), wl.name.to_string(), cfg, wl.clone()));
         }
     }
-    let runner = Runner::from_args("fig12");
-    let results = runner.run(jobs);
+    let results = Runner::from_args().run(jobs);
 
     let mut rows = Vec::new();
     let mut per_kind: Vec<Vec<f64>> = vec![Vec::new(); 4];
@@ -57,5 +56,4 @@ fn main() {
         &rows,
     );
     println!("\npaper amean: LB 90, LB+IDT 90, LB+PF 77, LB++ 75");
-    runner.finish();
 }

@@ -6,7 +6,7 @@
 //!
 //! Run: `cargo run -p pbm-bench --release --bin fig13 [--quick] [--jobs=N]`
 
-use pbm_bench::{gmean, print_flush_latency, print_system_header, print_table, quick_mode, Runner};
+use pbm_bench::{gmean, print_system_header, print_table, quick_mode, Runner};
 use pbm_types::{BarrierKind, PersistencyKind, SystemConfig};
 use pbm_workloads::apps::{self, AppParams};
 
@@ -45,8 +45,7 @@ fn main() {
             jobs.push((label.clone(), wl.name.to_string(), cfg.clone(), wl.clone()));
         }
     }
-    let runner = Runner::from_args("fig13");
-    let results = runner.run(jobs);
+    let results = Runner::from_args().run(jobs);
 
     let mut rows = Vec::new();
     let mut per_cfg: Vec<Vec<f64>> = vec![Vec::new(); 3];
@@ -70,7 +69,5 @@ fn main() {
         &["workload", "LB300", "LB1K", "LB10K"],
         &rows,
     );
-    print_flush_latency("epoch flush latency (cycles)", &results);
     println!("\npaper gmean: LB300 1.9, LB1K 1.5, LB10K ~1.45");
-    runner.finish();
 }

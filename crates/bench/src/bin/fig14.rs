@@ -6,7 +6,7 @@
 //!
 //! Run: `cargo run -p pbm-bench --release --bin fig14 [--quick] [--jobs=N]`
 
-use pbm_bench::{gmean, print_flush_latency, print_system_header, print_table, quick_mode, Runner};
+use pbm_bench::{gmean, print_system_header, print_table, quick_mode, Runner};
 use pbm_types::{BarrierKind, PersistencyKind, SystemConfig};
 use pbm_workloads::apps::{self, AppParams};
 
@@ -51,8 +51,7 @@ fn main() {
             jobs.push((label.clone(), wl.name.to_string(), cfg.clone(), wl.clone()));
         }
     }
-    let runner = Runner::from_args("fig14");
-    let results = runner.run(jobs);
+    let results = Runner::from_args().run(jobs);
 
     let mut rows = Vec::new();
     let mut per_cfg: Vec<Vec<f64>> = vec![Vec::new(); 4];
@@ -76,7 +75,5 @@ fn main() {
         &["workload", "LB", "LB+IDT", "LB++", "LB++NOLOG"],
         &rows,
     );
-    print_flush_latency("epoch flush latency (cycles)", &results);
     println!("\npaper gmean: LB 1.5, LB+IDT 1.35, LB++ 1.3, LB++NOLOG 1.16");
-    runner.finish();
 }

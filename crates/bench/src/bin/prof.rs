@@ -12,8 +12,8 @@
 //! Run: `cargo run -p pbm-bench --release --bin prof [--quick] [--jobs=N]
 //! [--bench-json=PATH] [--out-dir=DIR] [--top=K]`
 
-use pbm_bench::profiling::{bench_prof_doc, cell_slug, fig11_base, fig11_jobs, profile_cells};
-use pbm_bench::{jobs_from_args, print_system_header, quick_mode};
+use pbm_bench::profiling::{bench_prof_doc, cell_slug, dominant_label, fig11_base, fig11_jobs};
+use pbm_bench::{jobs_from_args, print_system_header, quick_mode, ObsOptions, Runner};
 use pbm_prof::{flame, report};
 use std::path::PathBuf;
 
@@ -63,29 +63,26 @@ fn main() {
     let opts = options();
     let quick = quick_mode();
     print_system_header(&fig11_base(quick));
-    let profiles = profile_cells(jobs_from_args(), fig11_jobs(quick));
+    let profiles = Runner::new(jobs_from_args(), ObsOptions::default()).profile(fig11_jobs(quick));
 
     println!("\n== persist-latency attribution (fig11 grid) ==");
     println!(
         "{:<8}{:<10}{:>9}{:>10}{:>10}{:>10}  dominant",
         "config", "workload", "barriers", "mean", "p50", "p99"
     );
-    for (config, workload, profile) in &profiles {
+    for (r, profile, _) in &profiles {
         let lat = profile.sorted_latencies();
         let count = lat.len() as u64;
         let mean = lat.iter().sum::<u64>().checked_div(count).unwrap_or(0);
-        let dominant = profile.totals.dominant().map_or("-".to_string(), |(c, n)| {
-            let total = profile.totals.total().max(1);
-            format!("{c} ({}%)", n * 100 / total)
-        });
         println!(
-            "{:<8}{:<10}{:>9}{:>10}{:>10}{:>10}  {dominant}",
-            config,
-            workload,
+            "{:<8}{:<10}{:>9}{:>10}{:>10}{:>10}  {}",
+            r.config,
+            r.workload,
             count,
             mean,
             report::percentile(&lat, 50),
             report::percentile(&lat, 99),
+            dominant_label(profile),
         );
     }
 
@@ -93,11 +90,11 @@ fn main() {
         if let Err(e) = std::fs::create_dir_all(dir) {
             die(&format!("cannot create {}: {e}", dir.display()));
         }
-        for (config, workload, profile) in &profiles {
-            let slug = cell_slug(config, workload);
+        for (r, profile, _) in &profiles {
+            let slug = cell_slug(&r.config, &r.workload);
             write(
                 &dir.join(format!("flame-{slug}.folded")),
-                &flame::profile_stacks(&format!("{config};{workload}"), profile),
+                &flame::profile_stacks(&format!("{};{}", r.config, r.workload), profile),
             );
             let mut text = report::report_json(profile, opts.top).to_json();
             text.push('\n');

@@ -1,63 +1,38 @@
 //! BSP configuration profiler: runs one application across the barrier
-//! ladder (NP, LB at three epoch sizes, IDT, LB++, no-log) with the
-//! metrics sampler attached and prints, per configuration, a
-//! stall-attribution breakdown (compute vs online-persist vs barrier
-//! cycles), the epoch flush-latency percentiles, and the headline
-//! counters the roadmap tracks.
+//! ladder ([`pbm_bench::BSP_LADDER`]: NP, LB at three epoch sizes, IDT,
+//! LB++, no-log) traced and with the metrics sampler attached, and prints,
+//! per configuration, a stall-attribution breakdown (compute vs
+//! online-persist vs barrier cycles), pbm-prof's exact persist-latency
+//! summary and dominant component, and the headline counters the roadmap
+//! tracks.
 //!
 //! Run: `cargo run -p pbm-bench --release --bin profile_bsp -- \
-//!           [app] [ops] [--jobs=N] [--json=p.json] [--trace-out=t.json] \
-//!           [--metrics-csv=m.csv]`
+//!           [app] [ops] [--quick] [--jobs=N] [--json=p.json] \
+//!           [--trace-out=t.json] [--metrics-csv=m.csv]`
 //!
-//! The ladder's configurations run in parallel on the runner's worker
-//! pool; with `--trace-out` / `--metrics-csv` the artifacts are written
-//! per configuration, suffixed with the config and workload labels. With
-//! `--json=` the stall attribution and the full flush-latency histogram
-//! (power-of-two buckets + p50/p90/p99/p99.9) are also written as a
-//! machine-readable `pbm-profile-bsp/v1` document.
+//! `ops` is per thread: 10,000 by default, 1,000 under `--quick`. The
+//! ladder's configurations run in parallel on the runner's worker pool,
+//! each simulated once; its trace is analyzed on the worker and dropped.
+//! With `--trace-out` / `--metrics-csv` the artifacts are written per
+//! configuration, suffixed with the config and workload labels. With
+//! `--json=` the stall attribution, the latency summary and the
+//! 12-component attribution are also written as a machine-readable
+//! `pbm-profile-bsp/v2` document.
 
-use pbm_bench::{Job, Runner};
+use pbm_bench::profiling::dominant_label;
+use pbm_bench::{bsp_ladder_jobs, quick_mode, Runner, BSP_LADDER};
 use pbm_obs::json::JsonValue;
-use pbm_types::{BarrierKind, Cycle, Histogram, PersistencyKind, SimStats, SystemConfig};
+use pbm_prof::{report, Profile};
+use pbm_types::{SimStats, SystemConfig};
 use pbm_workloads::apps::{self, AppParams};
 
-/// `pbm-profile-bsp/v1`: one ladder run as integer-only JSON.
-const JSON_SCHEMA: &str = "pbm-profile-bsp/v1";
-
-/// The flush-latency distribution: nonzero power-of-two buckets plus the
-/// nearest-rank tail percentiles. All integers (`Histogram::percentile`
-/// returns bucket lower bounds), so the document is byte-deterministic.
-fn histogram_json(h: &Histogram) -> JsonValue {
-    JsonValue::Object(vec![
-        ("count".into(), JsonValue::Num(h.count())),
-        ("sum".into(), JsonValue::Num(h.sum())),
-        ("max".into(), JsonValue::Num(h.max())),
-        ("p50".into(), JsonValue::Num(h.percentile(50.0))),
-        ("p90".into(), JsonValue::Num(h.percentile(90.0))),
-        ("p99".into(), JsonValue::Num(h.percentile(99.0))),
-        ("p99_9".into(), JsonValue::Num(h.percentile(99.9))),
-        (
-            "buckets".into(),
-            JsonValue::Array(
-                h.nonzero_buckets()
-                    .into_iter()
-                    .map(|(lower, upper, count)| {
-                        JsonValue::Object(vec![
-                            ("lower".into(), JsonValue::Num(lower)),
-                            ("upper".into(), JsonValue::Num(upper)),
-                            ("count".into(), JsonValue::Num(count)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
+/// `pbm-profile-bsp/v2`: one ladder run as integer-only JSON.
+const JSON_SCHEMA: &str = "pbm-profile-bsp/v2";
 
 /// One ladder rung: the stall attribution in raw core-cycles (consumers
 /// derive percentages; the integers keep the document exact) plus the
-/// flush-latency histogram.
-fn config_json(label: &str, stats: &SimStats, cores: usize) -> JsonValue {
+/// persist-latency summary and attribution from the rung's trace.
+fn config_json(label: &str, stats: &SimStats, profile: &Profile, cores: usize) -> JsonValue {
     let core_cycles = stats.cycles * cores as u64;
     let stalled = stats.online_persist_stall_cycles + stats.barrier_stall_cycles;
     JsonValue::Object(vec![
@@ -87,8 +62,22 @@ fn config_json(label: &str, stats: &SimStats, cores: usize) -> JsonValue {
             ]),
         ),
         (
-            "flush_latency".into(),
-            histogram_json(&stats.epoch_flush_latency),
+            "latency".into(),
+            report::latency_summary_json(&profile.sorted_latencies()),
+        ),
+        (
+            "dominant".into(),
+            JsonValue::Str(
+                profile
+                    .totals
+                    .dominant()
+                    .map_or("-", |(c, _)| c.name())
+                    .into(),
+            ),
+        ),
+        (
+            "attribution".into(),
+            report::attribution_json(&profile.totals),
         ),
     ])
 }
@@ -99,57 +88,33 @@ fn main() {
         .iter()
         .find_map(|a| a.strip_prefix("--json="))
         .map(String::from);
-    let app = args
-        .iter()
-        .skip(1)
-        .find(|a| !a.starts_with("--"))
-        .cloned()
-        .unwrap_or("ssca2".into());
-    let ops: usize = args
-        .iter()
-        .skip(1)
-        .filter(|a| !a.starts_with("--"))
-        .nth(1)
+    let mut positional = args.iter().skip(1).filter(|a| !a.starts_with("--"));
+    let app = positional.next().map_or("ssca2", String::as_str);
+    let ops: usize = positional
+        .next()
         .and_then(|s| s.parse().ok())
-        .unwrap_or(40_000);
-    let runner = Runner::from_args("profile_bsp");
+        .unwrap_or(if quick_mode() { 1000 } else { 10_000 });
+    let Some(profile) = apps::profile(app) else {
+        let names: Vec<&str> = apps::PROFILES.iter().map(|p| p.name).collect();
+        eprintln!("error: unknown app {app:?}; one of {}", names.join(", "));
+        std::process::exit(2);
+    };
     let mut params = AppParams::paper();
     params.ops_per_thread = ops;
-    let wl = apps::build(apps::profile(&app).unwrap(), &params);
-    let base = SystemConfig::micro48();
-    let configs: Vec<(String, BarrierKind, u64, bool)> = vec![
-        ("NP".into(), BarrierKind::NoPersistency, 10_000, true),
-        ("LB300".into(), BarrierKind::Lb, 300, true),
-        ("LB1K".into(), BarrierKind::Lb, 1000, true),
-        ("LB10K".into(), BarrierKind::Lb, 10_000, true),
-        ("IDT10K".into(), BarrierKind::LbIdt, 10_000, true),
-        ("LB++10K".into(), BarrierKind::LbPp, 10_000, true),
-        ("NOLOG".into(), BarrierKind::LbPp, 10_000, false),
-    ];
-    let cells: Vec<Job> = configs
-        .iter()
-        .map(|(label, kind, size, logging)| {
-            let mut cfg = base.clone();
-            cfg.persistency = PersistencyKind::BufferedStrictBulk;
-            cfg.barrier = *kind;
-            cfg.bsp_epoch_size = *size;
-            cfg.logging = *logging;
-            (label.clone(), wl.name.to_string(), cfg, wl.clone())
-        })
-        .collect();
-    let interval = Cycle::new(runner.obs().metrics_interval);
-    let results = runner.run_sampled(cells, interval);
+    let wl = apps::build(profile, &params);
+    let cores = SystemConfig::micro48().cores;
+    let results = Runner::from_args().profile(bsp_ladder_jobs(&wl));
 
     println!(
         "{:<10}{:>12}{:>8}{:>10}{:>10}{:>10}{:>9}{:>9}{:>9}",
         "config", "cycles", "norm", "epochs", "cfl%", "splits", "comp%", "onl%", "bar%"
     );
-    let np_cycles = results[0].stats.cycles as f64;
-    for r in &results {
+    let np_cycles = results[0].0.stats.cycles as f64;
+    for (r, profile, samples) in &results {
         let stats = &r.stats;
         // Stall attribution: total core-cycles split into stalled-online,
         // stalled-at-barrier, and everything else (compute + memory).
-        let core_cycles = (stats.cycles * base.cores as u64).max(1) as f64;
+        let core_cycles = (stats.cycles * cores as u64).max(1) as f64;
         let onl = stats.online_persist_stall_cycles as f64 / core_cycles * 100.0;
         let bar = stats.barrier_stall_cycles as f64 / core_cycles * 100.0;
         let comp = 100.0 - onl - bar;
@@ -165,22 +130,25 @@ fn main() {
             onl,
             bar,
         );
-        if stats.epoch_flush_latency.count() > 0 {
-            println!("           flush latency: {}", stats.epoch_flush_latency);
+        let lat = profile.sorted_latencies();
+        if !lat.is_empty() {
+            println!(
+                "           persist latency: n={} mean={} p50={} p99={} max={} dominant={}",
+                lat.len(),
+                lat.iter().sum::<u64>() / lat.len() as u64,
+                report::percentile(&lat, 50),
+                report::percentile(&lat, 99),
+                lat[lat.len() - 1],
+                dominant_label(profile),
+            );
         }
         // Saturation sketch from the sampled series: peak MC write-queue
         // depth and peak simultaneously-stalled cores.
-        let peak_q = r
-            .samples
-            .iter()
-            .map(|s| s.mc_queue_depth)
-            .max()
-            .unwrap_or(0);
-        let peak_stalled = r.samples.iter().map(|s| s.stalled_cores).max().unwrap_or(0);
+        let peak_q = samples.iter().map(|s| s.mc_queue_depth).max().unwrap_or(0);
+        let peak_stalled = samples.iter().map(|s| s.stalled_cores).max().unwrap_or(0);
         println!(
-            "           detail: wall={:?} I={} X={} ovf={} log={} chk={} evf={} parks={} \
+            "           detail: I={} X={} ovf={} log={} chk={} evf={} parks={} \
              peak_mcq={peak_q} peak_stalled={peak_stalled}",
-            r.wall,
             stats.conflicts_intra,
             stats.conflicts_inter,
             stats.idt_overflows,
@@ -193,14 +161,14 @@ fn main() {
     if let Some(path) = json_out {
         let doc = JsonValue::Object(vec![
             ("schema".into(), JsonValue::Str(JSON_SCHEMA.into())),
-            ("app".into(), JsonValue::Str(app.clone())),
+            ("app".into(), JsonValue::Str(app.into())),
             ("ops_per_thread".into(), JsonValue::Num(ops as u64)),
             (
                 "configs".into(),
                 JsonValue::Array(
                     results
                         .iter()
-                        .map(|r| config_json(&r.config, &r.stats, base.cores))
+                        .map(|(r, profile, _)| config_json(&r.config, &r.stats, profile, cores))
                         .collect(),
                 ),
             ),
@@ -211,7 +179,6 @@ fn main() {
             eprintln!("error: cannot write {path}: {e}");
             std::process::exit(2);
         }
-        eprintln!("# profile_bsp: {} configs -> {path}", results.len());
+        eprintln!("# profile_bsp: {} configs -> {path}", BSP_LADDER.len());
     }
-    runner.finish();
 }

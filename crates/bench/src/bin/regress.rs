@@ -1,28 +1,25 @@
-//! CI perf-regression gate: diffs freshly produced `BENCH_prof.json` /
-//! `BENCH_runner.json` against the committed baselines.
+//! CI perf-regression gate: diffs a freshly produced `BENCH_prof.json`
+//! against the committed baseline.
 //!
 //! Policy (see `pbm_prof::regress`): simulated-cycle metrics are
 //! deterministic, so any divergence beyond `--tol-cycles-pct` (default
-//! **0**) hard-fails — in either direction, golden-file style; wall-clock
-//! is machine-dependent, so `BENCH_runner.json` drift only warns.
+//! **0**) fails — in either direction, golden-file style.
 //!
 //! Run: `cargo run -p pbm-bench --release --bin regress
-//! [--baselines=DIR] [--current=DIR] [--tol-cycles-pct=N]
-//! [--tol-wall-pct=N] [--json=PATH]`
+//! [--baselines=DIR] [--current=DIR] [--tol-cycles-pct=N] [--json=PATH]`
 //!
-//! Exit status: 0 clean (warnings allowed), 1 regression, 2 usage/IO
-//! error (including a missing `BENCH_prof.json` on either side — seed
-//! baselines by copying a fresh run into `results/baselines/`).
+//! Exit status: 0 clean, 1 regression, 2 usage/IO error (including a
+//! missing `BENCH_prof.json` on either side — seed baselines by copying a
+//! fresh run into `results/baselines/`).
 
 use pbm_obs::json::{self, JsonValue};
-use pbm_prof::regress::{compare_prof, compare_runner, render_table, verdict_json, Comparison};
+use pbm_prof::regress::{compare_prof, render_table, verdict_json};
 use std::path::{Path, PathBuf};
 
 struct Options {
     baselines: PathBuf,
     current: PathBuf,
     tol_cycles_pct: u64,
-    tol_wall_pct: u64,
     json: Option<PathBuf>,
 }
 
@@ -31,7 +28,6 @@ fn options() -> Options {
         baselines: PathBuf::from("results/baselines"),
         current: PathBuf::from("."),
         tol_cycles_pct: 0,
-        tol_wall_pct: 50,
         json: None,
     };
     for arg in std::env::args().skip(1) {
@@ -40,9 +36,9 @@ fn options() -> Options {
         } else if let Some(p) = arg.strip_prefix("--current=") {
             opts.current = PathBuf::from(p);
         } else if let Some(n) = arg.strip_prefix("--tol-cycles-pct=") {
-            opts.tol_cycles_pct = parse_pct("--tol-cycles-pct", n);
-        } else if let Some(n) = arg.strip_prefix("--tol-wall-pct=") {
-            opts.tol_wall_pct = parse_pct("--tol-wall-pct", n);
+            opts.tol_cycles_pct = n.parse().unwrap_or_else(|_| {
+                die(&format!("--tol-cycles-pct takes a percentage, got {n:?}"))
+            });
         } else if let Some(p) = arg.strip_prefix("--json=") {
             opts.json = Some(PathBuf::from(p));
         } else {
@@ -50,12 +46,6 @@ fn options() -> Options {
         }
     }
     opts
-}
-
-fn parse_pct(flag: &str, value: &str) -> u64 {
-    value.parse().unwrap_or_else(|_| {
-        die(&format!("{flag} takes a percentage, got {value:?}"));
-    })
 }
 
 fn die(msg: &str) -> ! {
@@ -73,13 +63,10 @@ fn load(path: &Path) -> Option<JsonValue> {
 
 fn main() {
     let opts = options();
-    let mut comparisons: Vec<Comparison> = Vec::new();
-
-    // BENCH_prof.json is the gate's core document: both sides must exist.
     let prof_base = opts.baselines.join("BENCH_prof.json");
     let prof_cur = opts.current.join("BENCH_prof.json");
-    match (load(&prof_base), load(&prof_cur)) {
-        (Some(base), Some(cur)) => comparisons.push(compare_prof(&base, &cur, opts.tol_cycles_pct)),
+    let comparison = match (load(&prof_base), load(&prof_cur)) {
+        (Some(base), Some(cur)) => compare_prof(&base, &cur, opts.tol_cycles_pct),
         (None, _) => die(&format!(
             "no baseline {} — run `prof` and commit its BENCH_prof.json there",
             prof_base.display()
@@ -88,32 +75,17 @@ fn main() {
             "no current {} — run the `prof` binary first",
             prof_cur.display()
         )),
-    }
+    };
 
-    // BENCH_runner.json is advisory; compare when both sides exist.
-    let runner_base = opts.baselines.join("BENCH_runner.json");
-    let runner_cur = opts.current.join("BENCH_runner.json");
-    match (load(&runner_base), load(&runner_cur)) {
-        (Some(base), Some(cur)) => comparisons.push(compare_runner(&base, &cur, opts.tol_wall_pct)),
-        (None, _) => eprintln!(
-            "# regress: no {} baseline, skipping wall-clock check",
-            runner_base.display()
-        ),
-        (_, None) => eprintln!(
-            "# regress: no current {}, skipping wall-clock check",
-            runner_cur.display()
-        ),
-    }
-
-    print!("{}", render_table(&comparisons));
+    print!("{}", render_table(&comparison));
     if let Some(path) = &opts.json {
-        let mut text = verdict_json(&comparisons).to_json();
+        let mut text = verdict_json(&comparison).to_json();
         text.push('\n');
         if let Err(e) = std::fs::write(path, text) {
             die(&format!("cannot write {}: {e}", path.display()));
         }
     }
-    if comparisons.iter().any(|c| !c.pass()) {
+    if !comparison.pass() {
         std::process::exit(1);
     }
 }

@@ -13,15 +13,13 @@ pub mod obs;
 pub mod profiling;
 pub mod runner;
 
-pub use obs::{capture_artifacts, run_one_instrumented, ObsOptions};
-pub use runner::{default_jobs, jobs_from_args, Runner};
+pub use obs::{run_one_instrumented, ObsOptions};
+pub use runner::{jobs_from_args, Runner};
 
-use pbm_sim::System;
-use pbm_types::{MetricSample, SimStats, SystemConfig};
+use pbm_types::{BarrierKind, PersistencyKind, SimStats, SystemConfig};
 use pbm_workloads::Workload;
-use std::time::Duration;
 
-/// One completed run of the matrix.
+/// One completed cell of the grid.
 #[derive(Debug, Clone)]
 pub struct RunResult {
     /// Workload name.
@@ -30,35 +28,38 @@ pub struct RunResult {
     pub config: String,
     /// The run's statistics.
     pub stats: SimStats,
-    /// Sampled metrics series ([`Runner::run_sampled`] only; empty
-    /// otherwise).
-    pub samples: Vec<MetricSample>,
-    /// Wall-clock of this cell's simulation on its worker thread.
-    pub wall: Duration,
 }
 
-/// Runs one workload under one configuration.
-///
-/// # Panics
-///
-/// Panics if the configuration is invalid or the simulation wedges (both
-/// indicate bugs, not workload conditions).
-pub fn run_one(cfg: SystemConfig, wl: &Workload) -> SimStats {
-    let mut sys = System::new(cfg, wl.programs.clone()).expect("valid config");
-    wl.apply_preloads(&mut sys);
-    sys.run()
-}
-
-/// One matrix job: `(config label, workload label, config, workload)`.
+/// One grid job: `(config label, workload label, config, workload)`.
 pub type Job = (String, String, SystemConfig, Workload);
 
-/// Runs a labelled `(config, workload)` matrix, parallelizing across the
-/// host's cores. Results come back in input order.
-///
-/// Thin wrapper over [`Runner`] for callers that don't need `--jobs=`
-/// control, observability routing, or the wall-clock record.
-pub fn run_matrix(jobs: Vec<Job>) -> Vec<RunResult> {
-    Runner::new("matrix", default_jobs(), ObsOptions::default()).run(jobs)
+/// The BSP barrier ladder `profile_bsp` and `calibrate_bsp` sweep: NP, LB
+/// at three epoch sizes, IDT, LB++ and LB++ without the undo log, each
+/// rung as `(label, barrier, epoch size, undo logging)`.
+pub const BSP_LADDER: [(&str, BarrierKind, u64, bool); 7] = [
+    ("NP", BarrierKind::NoPersistency, 10_000, true),
+    ("LB300", BarrierKind::Lb, 300, true),
+    ("LB1K", BarrierKind::Lb, 1000, true),
+    ("LB10K", BarrierKind::Lb, 10_000, true),
+    ("IDT10K", BarrierKind::LbIdt, 10_000, true),
+    ("LB++10K", BarrierKind::LbPp, 10_000, true),
+    ("NOLOG", BarrierKind::LbPp, 10_000, false),
+];
+
+/// Every ladder rung over `wl`, in ladder order, on the paper's 32-core
+/// system under BSP-bulk persistency.
+pub fn bsp_ladder_jobs(wl: &Workload) -> Vec<Job> {
+    BSP_LADDER
+        .iter()
+        .map(|&(label, barrier, epoch_size, logging)| {
+            let mut cfg = SystemConfig::micro48();
+            cfg.persistency = PersistencyKind::BufferedStrictBulk;
+            cfg.barrier = barrier;
+            cfg.bsp_epoch_size = epoch_size;
+            cfg.logging = logging;
+            (label.to_string(), wl.name.to_string(), cfg, wl.clone())
+        })
+        .collect()
 }
 
 /// Geometric mean (the paper's summary statistic for throughput and
@@ -104,26 +105,6 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[(String, Vec<f64>)]) {
             print!("{v:>10.3}");
         }
         println!();
-    }
-}
-
-/// Prints the epoch flush-latency distribution of each run that persisted
-/// at least one epoch: count, mean, and the p50/p95/p99 tail, one row per
-/// `(config, workload)` cell.
-pub fn print_flush_latency(title: &str, results: &[RunResult]) {
-    let rows: Vec<&RunResult> = results
-        .iter()
-        .filter(|r| r.stats.epoch_flush_latency.count() > 0)
-        .collect();
-    if rows.is_empty() {
-        return;
-    }
-    println!("\n== {title} ==");
-    for r in rows {
-        println!(
-            "{:<12}{:<12}{}",
-            r.config, r.workload, r.stats.epoch_flush_latency
-        );
     }
 }
 
@@ -173,29 +154,5 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn gmean_rejects_zero() {
         let _ = gmean(&[0.0]);
-    }
-
-    #[test]
-    fn matrix_runs_in_order() {
-        use pbm_sim::ProgramBuilder;
-        use pbm_types::Addr;
-        let mut cfg = SystemConfig::small_test();
-        cfg.cores = 1;
-        let mut b = ProgramBuilder::new();
-        b.store(Addr::new(0), 1).barrier();
-        let wl = Workload {
-            name: "t",
-            programs: vec![b.build()],
-            preloads: vec![],
-        };
-        let jobs = (0..5)
-            .map(|i| (format!("c{i}"), "t".to_string(), cfg.clone(), wl.clone()))
-            .collect();
-        let results = run_matrix(jobs);
-        assert_eq!(results.len(), 5);
-        for (i, r) in results.iter().enumerate() {
-            assert_eq!(r.config, format!("c{i}"));
-            assert_eq!(r.stats.stores, 1);
-        }
     }
 }

@@ -18,24 +18,32 @@ pub const DEFAULT_METRICS_INTERVAL: u64 = 5_000;
 /// * `--metrics-csv=<path>` — write the periodic metrics time-series.
 /// * `--metrics-interval=<cycles>` — sampling cadence (default
 ///   [`DEFAULT_METRICS_INTERVAL`]).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct ObsOptions {
     /// Destination for the Chrome trace-event JSON, if requested.
     pub trace_out: Option<PathBuf>,
     /// Destination for the metrics CSV, if requested.
     pub metrics_csv: Option<PathBuf>,
-    /// Sampling cadence in cycles (used only when `metrics_csv` is set).
+    /// Sampling cadence in cycles.
     pub metrics_interval: u64,
+}
+
+impl Default for ObsOptions {
+    /// No artifacts, sampling at [`DEFAULT_METRICS_INTERVAL`].
+    fn default() -> Self {
+        ObsOptions {
+            trace_out: None,
+            metrics_csv: None,
+            metrics_interval: DEFAULT_METRICS_INTERVAL,
+        }
+    }
 }
 
 impl ObsOptions {
     /// Parses the observability flags out of the process arguments.
     /// Unknown arguments are ignored (the binaries have their own).
     pub fn from_args() -> Self {
-        let mut opts = ObsOptions {
-            metrics_interval: DEFAULT_METRICS_INTERVAL,
-            ..ObsOptions::default()
-        };
+        let mut opts = ObsOptions::default();
         for arg in std::env::args() {
             if let Some(p) = arg.strip_prefix("--trace-out=") {
                 opts.trace_out = Some(require_path("--trace-out", p));
@@ -75,6 +83,33 @@ impl ObsOptions {
             trace_out: self.trace_out.as_deref().map(|p| suffixed(p, &slug)),
             metrics_csv: self.metrics_csv.as_deref().map(|p| suffixed(p, &slug)),
             metrics_interval: self.metrics_interval,
+        }
+    }
+
+    /// Writes the requested artifacts of one run from its collected
+    /// `events` and `samples`; a no-op when nothing was requested. Exits
+    /// the process with a diagnostic if an artifact cannot be written.
+    pub fn write_artifacts(&self, events: &[TraceEvent], samples: &[MetricSample], label: &str) {
+        if let Some(path) = &self.trace_out {
+            let json = chrome::export_chrome_trace(events, samples);
+            if let Err(e) = std::fs::write(path, json) {
+                die(&format!("cannot write trace JSON {}: {e}", path.display()));
+            }
+            eprintln!(
+                "# trace: {} events for {label} -> {}",
+                events.len(),
+                path.display()
+            );
+        }
+        if let Some(path) = &self.metrics_csv {
+            if let Err(e) = std::fs::write(path, metrics_csv(samples)) {
+                die(&format!("cannot write metrics CSV {}: {e}", path.display()));
+            }
+            eprintln!(
+                "# metrics: {} samples for {label} -> {}",
+                samples.len(),
+                path.display()
+            );
         }
     }
 }
@@ -117,41 +152,6 @@ pub fn run_one_instrumented(
     let events = sys.take_trace_events();
     let samples = sys.take_metric_samples();
     (stats, events, samples)
-}
-
-/// Runs `(cfg, wl)` once with the instrumentation `opts` request and
-/// writes the artifacts. No-op (and no extra run) when `opts` is inactive.
-/// Exits the process with a diagnostic if an artifact cannot be written.
-pub fn capture_artifacts(opts: &ObsOptions, cfg: SystemConfig, wl: &Workload, label: &str) {
-    if !opts.is_active() {
-        return;
-    }
-    let interval = opts
-        .metrics_csv
-        .as_ref()
-        .map(|_| Cycle::new(opts.metrics_interval));
-    let (_, events, samples) = run_one_instrumented(cfg, wl, opts.trace_out.is_some(), interval);
-    if let Some(path) = &opts.trace_out {
-        let json = chrome::export_chrome_trace(&events, &samples);
-        if let Err(e) = std::fs::write(path, json) {
-            die(&format!("cannot write trace JSON {}: {e}", path.display()));
-        }
-        eprintln!(
-            "# trace: {} events for {label} -> {}",
-            events.len(),
-            path.display()
-        );
-    }
-    if let Some(path) = &opts.metrics_csv {
-        if let Err(e) = std::fs::write(path, metrics_csv(&samples)) {
-            die(&format!("cannot write metrics CSV {}: {e}", path.display()));
-        }
-        eprintln!(
-            "# metrics: {} samples for {label} -> {}",
-            samples.len(),
-            path.display()
-        );
-    }
 }
 
 #[cfg(test)]

@@ -1,5 +1,6 @@
 //! The causal-profiling pipeline behind the `prof` binary: the shared
-//! fig11 grid, traced per-cell runs, and the `BENCH_prof.json` document.
+//! fig11 grid and the `BENCH_prof.json` document built from
+//! [`crate::Runner::profile`]'s traced per-cell runs.
 //!
 //! Lives in the library (rather than the binary) so the grid is shared
 //! with `fig11` — the profiler attributes exactly the cells the figure
@@ -7,7 +8,7 @@
 //! testable in-process. `quick` is an explicit parameter everywhere (not
 //! re-read from the environment) for the same reason.
 
-use crate::obs::run_one_instrumented;
+use crate::runner::ProfiledRun;
 use crate::Job;
 use pbm_obs::json::JsonValue;
 use pbm_prof::{report, Profile};
@@ -53,34 +54,24 @@ pub fn fig11_jobs(quick: bool) -> Vec<Job> {
     jobs
 }
 
-/// One profiled grid cell: `(config label, workload label, profile)`.
-pub type ProfiledCell = (String, String, Profile);
-
-/// Runs every cell with tracing enabled and analyzes its event stream on
-/// the worker, returning profiles in grid order. The raw events are
-/// dropped worker-side (a traced paper-scale cell is millions of events;
-/// the profile is a few hundred barriers), keeping peak memory bounded by
-/// one trace per worker.
-///
-/// Deterministic across `jobs`: results come back in input order and each
-/// cell's analysis depends only on that cell's (deterministic) trace.
-pub fn profile_cells(jobs: usize, cells: Vec<Job>) -> Vec<ProfiledCell> {
-    pbm_check::parallel_map(jobs, cells, |(config, workload, cfg, wl)| {
-        let (_, events, _) = run_one_instrumented(cfg, &wl, true, None);
-        (config, workload, pbm_prof::analyze(&events))
-    })
-}
-
 /// Builds the `pbm-bench-prof/v1` document from profiled cells (grid
 /// order preserved).
-pub fn bench_prof_doc(profiles: &[ProfiledCell], quick: bool) -> JsonValue {
+pub fn bench_prof_doc(profiles: &[ProfiledRun], quick: bool) -> JsonValue {
     report::bench_doc(
         profiles
             .iter()
-            .map(|(config, workload, profile)| report::cell_json(config, workload, profile))
+            .map(|(r, profile, _)| report::cell_json(&r.config, &r.workload, profile))
             .collect(),
         quick,
     )
+}
+
+/// The component holding most of `profile`'s attributed cycles, with its
+/// share (`nvram_write (41%)`), or `-` if nothing was attributed.
+pub fn dominant_label(profile: &Profile) -> String {
+    profile.totals.dominant().map_or("-".to_string(), |(c, n)| {
+        format!("{c} ({}%)", n * 100 / profile.totals.total().max(1))
+    })
 }
 
 /// Filesystem slug of a cell label pair (`LB++`, `queue` → `lb___queue`):

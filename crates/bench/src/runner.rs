@@ -12,23 +12,12 @@
 //!   observability artifacts (see [`crate::obs::ObsOptions`]); each cell's
 //!   outputs go to a distinct `-<config>-<workload>`-suffixed path so
 //!   concurrent cells never interleave into one file.
-//! * `--runner-json=<path>` / `--no-runner-json` — where (whether) to
-//!   record wall-clock in `BENCH_runner.json` (see [`Runner::finish`]).
 
-use crate::obs::{self, ObsOptions};
-use crate::{run_one, Job, RunResult};
-use pbm_obs::json::{self, JsonValue};
-use pbm_types::Cycle;
-use std::cell::Cell;
-use std::path::PathBuf;
+use crate::obs::{run_one_instrumented, ObsOptions};
+use crate::{Job, RunResult};
+use pbm_prof::Profile;
+use pbm_types::{Cycle, MetricSample, TraceEvent};
 use std::thread;
-use std::time::Instant;
-
-/// Default destination of the wall-clock record, relative to the CWD.
-pub const DEFAULT_RUNNER_JSON: &str = "BENCH_runner.json";
-
-/// Schema tag stamped into `BENCH_runner.json`.
-pub const RUNNER_JSON_SCHEMA: &str = "pbm-bench-runner/v1";
 
 /// Parses `--jobs=N` from the process arguments; defaults to the host's
 /// available parallelism. Exits with a diagnostic on a malformed value.
@@ -44,32 +33,14 @@ pub fn jobs_from_args() -> usize {
             }
         }
     }
-    default_jobs()
-}
-
-/// The default worker count: the host's available parallelism.
-pub fn default_jobs() -> usize {
     thread::available_parallelism().map_or(4, usize::from)
 }
 
-fn report_path_from_args() -> Option<PathBuf> {
-    let mut path = Some(PathBuf::from(DEFAULT_RUNNER_JSON));
-    for arg in std::env::args() {
-        if arg == "--no-runner-json" {
-            path = None;
-        } else if let Some(p) = arg.strip_prefix("--runner-json=") {
-            if p.is_empty() {
-                eprintln!("error: --runner-json requires a file path");
-                std::process::exit(2);
-            }
-            path = Some(PathBuf::from(p));
-        }
-    }
-    path
-}
+/// One profiled cell: its result, the pbm-prof analysis of its trace and
+/// its sampled metrics series.
+pub type ProfiledRun = (RunResult, Profile, Vec<MetricSample>);
 
-/// A worker pool that runs experiment cells in parallel and records the
-/// binary's wall-clock.
+/// A worker pool that runs experiment cells in parallel.
 ///
 /// Results are collected in deterministic grid order (input order), so
 /// callers can keep indexing result chunks exactly as with a sequential
@@ -77,158 +48,64 @@ fn report_path_from_args() -> Option<PathBuf> {
 /// artifact set at a label-suffixed path.
 #[derive(Debug)]
 pub struct Runner {
-    binary: String,
     jobs: usize,
     obs: ObsOptions,
-    report: Option<PathBuf>,
-    started: Instant,
-    cells: Cell<usize>,
 }
 
 impl Runner {
-    /// A runner configured from the process arguments (`--jobs=`, the
-    /// observability flags, `--runner-json=`), recording under `binary`'s
-    /// name in `BENCH_runner.json`.
-    pub fn from_args(binary: &str) -> Self {
-        let mut r = Self::new(binary, jobs_from_args(), ObsOptions::from_args());
-        r.report = report_path_from_args();
-        r
+    /// A runner configured from the process arguments (`--jobs=` and the
+    /// observability flags).
+    pub fn from_args() -> Self {
+        Self::new(jobs_from_args(), ObsOptions::from_args())
     }
 
-    /// A runner with explicit worker count and observability options and
-    /// no wall-clock record (library/test use).
-    pub fn new(binary: &str, jobs: usize, obs: ObsOptions) -> Self {
+    /// A runner with explicit worker count and observability options.
+    pub fn new(jobs: usize, obs: ObsOptions) -> Self {
         assert!(jobs > 0, "need at least one worker");
-        Runner {
-            binary: binary.to_string(),
-            jobs,
-            obs,
-            report: None,
-            started: Instant::now(),
-            cells: Cell::new(0),
-        }
-    }
-
-    /// The worker count.
-    pub fn jobs(&self) -> usize {
-        self.jobs
-    }
-
-    /// The observability options the runner applies per cell.
-    pub fn obs(&self) -> &ObsOptions {
-        &self.obs
+        Runner { jobs, obs }
     }
 
     /// Runs the cell grid on the worker pool; results in grid order.
     pub fn run(&self, cells: Vec<Job>) -> Vec<RunResult> {
-        self.run_cells(cells, None)
+        self.run_cells(cells, false, |result, _, _| result)
     }
 
-    /// Like [`Runner::run`], but with the metrics sampler attached at
-    /// `interval`, so each result carries its sampled time series (used by
-    /// `profile_bsp` for saturation sketches).
-    pub fn run_sampled(&self, cells: Vec<Job>, interval: Cycle) -> Vec<RunResult> {
-        self.run_cells(cells, Some(interval))
-    }
-
-    fn run_cells(&self, cells: Vec<Job>, sample: Option<Cycle>) -> Vec<RunResult> {
-        self.cells.set(self.cells.get() + cells.len());
-        let obs = &self.obs;
-        pbm_check::parallel_map(self.jobs, cells, |(config, workload, cfg, wl)| {
-            let t0 = Instant::now();
-            let (stats, samples) = match sample {
-                Some(interval) => {
-                    let (stats, _, samples) =
-                        obs::run_one_instrumented(cfg.clone(), &wl, false, Some(interval));
-                    (stats, samples)
-                }
-                None => (run_one(cfg.clone(), &wl), Vec::new()),
-            };
-            if obs.is_active() {
-                let cell_obs = obs.for_label(&format!("{config}-{workload}"));
-                obs::capture_artifacts(&cell_obs, cfg, &wl, &format!("{workload}/{config}"));
-            }
-            RunResult {
-                workload,
-                config,
-                stats,
-                samples,
-                wall: t0.elapsed(),
-            }
+    /// Like [`Runner::run`], but every cell runs traced and sampled at the
+    /// metrics interval. Each worker analyzes its cell's trace with
+    /// [`pbm_prof::analyze`] and drops the events (a traced paper-scale
+    /// cell is millions of events, its profile a few hundred barriers), so
+    /// peak memory stays bounded by one trace per worker.
+    pub fn profile(&self, cells: Vec<Job>) -> Vec<ProfiledRun> {
+        self.run_cells(cells, true, |result, events, samples| {
+            (result, pbm_prof::analyze(events), samples)
         })
     }
 
-    /// Records the binary's total wall-clock in `BENCH_runner.json`
-    /// (merging with — and replacing — any previous entry for the same
-    /// `(binary, jobs, quick)` identity) and notes it on stderr. No-op
-    /// under `--no-runner-json` or when the runner was built without a
-    /// report path.
-    ///
-    /// The file is a deterministic JSON document:
-    ///
-    /// ```json
-    /// {"schema": "pbm-bench-runner/v1",
-    ///  "runs": [{"binary": "fig11", "jobs": 8, "cells": 20,
-    ///            "quick": true, "wall_ms": 1234}]}
-    /// ```
-    pub fn finish(&self) {
-        let Some(path) = &self.report else {
-            return;
-        };
-        let wall_ms = u64::try_from(self.started.elapsed().as_millis()).unwrap_or(u64::MAX);
-        let entry = JsonValue::Object(vec![
-            ("binary".into(), JsonValue::Str(self.binary.clone())),
-            ("jobs".into(), JsonValue::Num(self.jobs as u64)),
-            ("cells".into(), JsonValue::Num(self.cells.get() as u64)),
-            ("quick".into(), JsonValue::Bool(crate::quick_mode())),
-            ("wall_ms".into(), JsonValue::Num(wall_ms)),
-        ]);
-        let runs: Vec<JsonValue> = std::fs::read_to_string(path)
-            .ok()
-            .and_then(|text| json::parse(&text).ok())
-            .and_then(|doc| {
-                doc.get("runs")
-                    .and_then(|r| r.as_array().map(<[_]>::to_vec))
-            })
-            .unwrap_or_default();
-        let runs = merge_run_entry(runs, entry);
-        let doc = JsonValue::Object(vec![
-            ("schema".into(), JsonValue::Str(RUNNER_JSON_SCHEMA.into())),
-            ("runs".into(), JsonValue::Array(runs)),
-        ]);
-        let mut text = doc.to_json();
-        text.push('\n');
-        if let Err(e) = std::fs::write(path, text) {
-            eprintln!("error: cannot write {}: {e}", path.display());
-            std::process::exit(2);
-        }
-        eprintln!(
-            "# runner: {} cells in {wall_ms} ms with {} jobs -> {}",
-            self.cells.get(),
-            self.jobs,
-            path.display()
-        );
+    /// Simulates each cell once, instrumented as the observability options
+    /// (or `profile`) require, writes its artifacts, and hands its result,
+    /// events and samples to `keep` on the worker.
+    fn run_cells<T: Send>(
+        &self,
+        cells: Vec<Job>,
+        profile: bool,
+        keep: impl Fn(RunResult, &[TraceEvent], Vec<MetricSample>) -> T + Sync,
+    ) -> Vec<T> {
+        let obs = &self.obs;
+        let tracing = profile || obs.trace_out.is_some();
+        let interval =
+            (profile || obs.metrics_csv.is_some()).then(|| Cycle::new(obs.metrics_interval));
+        pbm_check::parallel_map(self.jobs, cells, |(config, workload, cfg, wl)| {
+            let (stats, events, samples) = run_one_instrumented(cfg, &wl, tracing, interval);
+            obs.for_label(&format!("{config}-{workload}"))
+                .write_artifacts(&events, &samples, &format!("{workload}/{config}"));
+            let result = RunResult {
+                workload,
+                config,
+                stats,
+            };
+            keep(result, &events, samples)
+        })
     }
-}
-
-/// Merges a fresh run entry into the `runs` array, replacing only a
-/// previous entry with the same `(binary, jobs, quick)` identity. A quick
-/// CI smoke run and a full-scale run of the same binary therefore coexist
-/// instead of clobbering each other's wall-clock record.
-fn merge_run_entry(mut runs: Vec<JsonValue>, entry: JsonValue) -> Vec<JsonValue> {
-    let key = |r: &JsonValue| {
-        (
-            r.get("binary")
-                .and_then(JsonValue::as_str)
-                .map(String::from),
-            r.get("jobs").and_then(JsonValue::as_u64),
-            r.get("quick").cloned(),
-        )
-    };
-    let entry_key = key(&entry);
-    runs.retain(|r| key(r) != entry_key);
-    runs.push(entry);
-    runs
 }
 
 #[cfg(test)]
@@ -255,83 +132,36 @@ mod tests {
 
     #[test]
     fn results_come_back_in_grid_order() {
-        let runner = Runner::new("test", 3, ObsOptions::default());
+        let runner = Runner::new(3, ObsOptions::default());
         let results = runner.run(tiny_grid(7));
         assert_eq!(results.len(), 7);
         for (i, r) in results.iter().enumerate() {
             assert_eq!(r.config, format!("c{i}"));
             assert_eq!(r.stats.stores, 1);
-            assert!(r.samples.is_empty());
         }
     }
 
     #[test]
-    fn sampled_runs_carry_the_series() {
-        let runner = Runner::new("test", 2, ObsOptions::default());
-        let results = runner.run_sampled(tiny_grid(2), Cycle::new(10));
-        assert_eq!(results.len(), 2);
-        for r in &results {
-            assert!(!r.samples.is_empty(), "sampler attached");
-        }
-    }
-
-    fn run_entry(binary: &str, jobs: u64, quick: bool, wall_ms: u64) -> JsonValue {
-        JsonValue::Object(vec![
-            ("binary".into(), JsonValue::Str(binary.into())),
-            ("jobs".into(), JsonValue::Num(jobs)),
-            ("cells".into(), JsonValue::Num(20)),
-            ("quick".into(), JsonValue::Bool(quick)),
-            ("wall_ms".into(), JsonValue::Num(wall_ms)),
-        ])
-    }
-
-    #[test]
-    fn merge_replaces_only_matching_identity() {
-        let runs = vec![
-            run_entry("fig11", 2, true, 100),
-            run_entry("fig11", 2, false, 90_000),
-            run_entry("fig11", 8, true, 40),
-            run_entry("prof", 2, true, 200),
-        ];
-        let merged = merge_run_entry(runs, run_entry("fig11", 2, true, 150));
-        assert_eq!(
-            merged.len(),
-            4,
-            "only the same (binary, jobs, quick) entry is replaced"
-        );
-        let wall = |b: &str, j: u64, q: bool| {
-            merged
-                .iter()
-                .find(|r| {
-                    r.get("binary").and_then(JsonValue::as_str) == Some(b)
-                        && r.get("jobs").and_then(JsonValue::as_u64) == Some(j)
-                        && r.get("quick") == Some(&JsonValue::Bool(q))
-                })
-                .and_then(|r| r.get("wall_ms").and_then(JsonValue::as_u64))
+    fn profiled_runs_carry_the_profile_and_series() {
+        let obs = ObsOptions {
+            metrics_interval: 10,
+            ..ObsOptions::default()
         };
-        assert_eq!(wall("fig11", 2, true), Some(150), "replaced");
-        assert_eq!(
-            wall("fig11", 2, false),
-            Some(90_000),
-            "full-scale run survives"
-        );
-        assert_eq!(wall("fig11", 8, true), Some(40), "other job count survives");
-        assert_eq!(wall("prof", 2, true), Some(200), "other binary survives");
-        assert_eq!(
-            merged
-                .last()
-                .unwrap()
-                .get("wall_ms")
-                .and_then(JsonValue::as_u64),
-            Some(150),
-            "fresh entry appends at the end"
-        );
+        let runner = Runner::new(2, obs);
+        let plain = runner.run(tiny_grid(2));
+        let profiled = runner.profile(tiny_grid(2));
+        assert_eq!(profiled.len(), 2);
+        for ((r, profile, samples), p) in profiled.iter().zip(&plain) {
+            assert_eq!(r.stats, p.stats, "tracing and sampling change no count");
+            assert_eq!(profile.barriers.len() as u64, r.stats.epochs_persisted);
+            assert!(!samples.is_empty(), "sampler attached");
+        }
     }
 
     #[test]
     fn worker_counts_agree_on_stats() {
-        let one = Runner::new("test", 1, ObsOptions::default()).run(tiny_grid(5));
-        let many = Runner::new("test", 8, ObsOptions::default()).run(tiny_grid(5));
+        let one = Runner::new(1, ObsOptions::default()).run(tiny_grid(5));
+        let many = Runner::new(8, ObsOptions::default()).run(tiny_grid(5));
         for (a, b) in one.iter().zip(&many) {
             assert_eq!(a.config, b.config);
             assert_eq!(a.stats, b.stats);

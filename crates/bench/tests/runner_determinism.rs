@@ -31,8 +31,8 @@ fn grid() -> Vec<Job> {
 
 #[test]
 fn worker_count_does_not_change_the_result_grid() {
-    let seq = Runner::new("det", 1, ObsOptions::default()).run(grid());
-    let par = Runner::new("det", 8, ObsOptions::default()).run(grid());
+    let seq = Runner::new(1, ObsOptions::default()).run(grid());
+    let par = Runner::new(8, ObsOptions::default()).run(grid());
     assert_eq!(seq.len(), par.len());
     for (a, b) in seq.iter().zip(&par) {
         assert_eq!((&a.config, &a.workload), (&b.config, &b.workload));
@@ -64,8 +64,8 @@ fn obs_into(dir: &Path) -> ObsOptions {
 fn worker_count_does_not_change_the_trace_bytes() {
     let root = std::env::temp_dir().join(format!("pbm-runner-det-{}", std::process::id()));
     let dirs = [root.join("jobs1"), root.join("jobs8")];
-    let seq = Runner::new("det", 1, obs_into(&dirs[0])).run(grid());
-    let par = Runner::new("det", 8, obs_into(&dirs[1])).run(grid());
+    let seq = Runner::new(1, obs_into(&dirs[0])).run(grid());
+    let par = Runner::new(8, obs_into(&dirs[1])).run(grid());
     assert_eq!(seq.len(), par.len());
 
     let a = artifact_bytes(&dirs[0]);

@@ -13,8 +13,7 @@
 //! The simulator talks to this crate through [`Observer`], which either
 //! drops events or buffers them in memory. It keeps an `enabled` fast-path
 //! flag, so an un-instrumented run pays one predictable branch per
-//! instrumentation point and never constructs an event (verified by the
-//! `obs_overhead` Criterion bench in `pbm-bench`).
+//! instrumentation point and never constructs an event.
 //!
 //! Everything here is deterministic: traces carry simulated cycles, never
 //! wall-clock time, so two runs of the same seed produce byte-identical

@@ -31,9 +31,9 @@
 //! * [`report::cell_json`] / [`report::bench_doc`] — the `pbm-bench-prof/v1`
 //!   summary (`BENCH_prof.json`) the `prof` binary emits per fig11 grid
 //!   cell, integer-only and byte-deterministic;
-//! * [`regress`] — diffs `BENCH_prof.json` / `BENCH_runner.json` documents
-//!   against committed baselines with per-metric tolerances (the CI
-//!   perf-regression gate).
+//! * [`regress`] — diffs a `BENCH_prof.json` document against its
+//!   committed baseline with a relative tolerance (the CI perf-regression
+//!   gate).
 //!
 //! Everything is deterministic: all arithmetic is integral, all iteration
 //! orders are sorted, and no wall-clock value is ever consulted.

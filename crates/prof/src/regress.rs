@@ -1,59 +1,24 @@
-//! Perf-regression diffing: compare freshly produced `BENCH_*.json`
-//! documents against committed baselines.
+//! Perf-regression diffing: compare a freshly produced `BENCH_prof.json`
+//! against its committed baseline.
 //!
-//! Two comparison policies, matching what each document measures:
-//!
-//! * [`compare_prof`] — `BENCH_prof.json` holds **simulated-cycle**
-//!   metrics, which are machine-independent and deterministic, so every
-//!   divergence beyond the (default **zero**) tolerance is a hard
-//!   [`Severity::Fail`] — in *either* direction. An improvement fails too:
-//!   golden-file style, so baselines are consciously updated rather than
-//!   silently drifting.
-//! * [`compare_runner`] — `BENCH_runner.json` holds **wall-clock**
-//!   timings, which depend on the machine, so timing drift and missing
-//!   runs are [`Severity::Warn`]; only the deterministic cell counts can
-//!   hard-fail.
+//! `BENCH_prof.json` holds **simulated-cycle** metrics, which are
+//! machine-independent and deterministic, so every divergence beyond the
+//! (default **zero**) tolerance is a finding, and every finding fails — in
+//! *either* direction. An improvement fails too: golden-file style, so
+//! baselines are consciously updated rather than silently drifting.
 //!
 //! The CI gate (`regress` binary in `pbm-bench`) renders the findings as a
-//! table, optionally emits a JSON verdict, and exits nonzero iff any
-//! finding is a `Fail`.
+//! table, optionally emits a JSON verdict, and exits nonzero iff there is
+//! any finding.
 
 use pbm_obs::json::JsonValue;
-use std::fmt;
 
 /// Schema tag of the JSON verdict document.
-pub const VERDICT_SCHEMA: &str = "pbm-regress/v1";
-
-/// How bad a finding is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Severity {
-    /// Advisory (machine-dependent metric drifted); never gates CI.
-    Warn,
-    /// Deterministic metric diverged from the baseline; gates CI.
-    Fail,
-}
-
-impl Severity {
-    /// Stable upper-case name for tables and the verdict document.
-    pub const fn name(self) -> &'static str {
-        match self {
-            Severity::Warn => "WARN",
-            Severity::Fail => "FAIL",
-        }
-    }
-}
-
-impl fmt::Display for Severity {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
+pub const VERDICT_SCHEMA: &str = "pbm-regress/v2";
 
 /// One divergence between baseline and current.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Whether it gates CI.
-    pub severity: Severity,
     /// Dotted path of the diverging metric (e.g.
     /// `cells[lb/micro48].latency.p99`).
     pub metric: String,
@@ -78,30 +43,16 @@ impl Comparison {
         }
     }
 
-    fn push(&mut self, severity: Severity, metric: impl Into<String>, detail: impl Into<String>) {
+    fn push(&mut self, metric: impl Into<String>, detail: impl Into<String>) {
         self.findings.push(Finding {
-            severity,
             metric: metric.into(),
             detail: detail.into(),
         });
     }
 
-    /// Number of gating findings.
-    pub fn failures(&self) -> usize {
-        self.findings
-            .iter()
-            .filter(|f| f.severity == Severity::Fail)
-            .count()
-    }
-
-    /// Number of advisory findings.
-    pub fn warnings(&self) -> usize {
-        self.findings.len() - self.failures()
-    }
-
-    /// True if nothing gates (warnings allowed).
+    /// True if the current document matches its baseline.
     pub fn pass(&self) -> bool {
-        self.failures() == 0
+        self.findings.is_empty()
     }
 }
 
@@ -114,11 +65,10 @@ pub fn out_of_tolerance(baseline: u64, current: u64, tol_pct: u64) -> bool {
 }
 
 /// Structural diff of two integer-JSON trees: every leaf divergence (or
-/// shape mismatch) becomes a finding at `severity`, numeric leaves judged
-/// by [`out_of_tolerance`] with `tol_pct`.
+/// shape mismatch) becomes a finding, numeric leaves judged by
+/// [`out_of_tolerance`] with `tol_pct`.
 fn diff_tree(
     out: &mut Comparison,
-    severity: Severity,
     path: &str,
     baseline: &JsonValue,
     current: &JsonValue,
@@ -128,7 +78,6 @@ fn diff_tree(
         (JsonValue::Num(b), JsonValue::Num(c)) => {
             if out_of_tolerance(*b, *c, tol_pct) {
                 out.push(
-                    severity,
                     path,
                     format!("baseline {b}, current {c} (tolerance {tol_pct}%)"),
                 );
@@ -136,19 +85,18 @@ fn diff_tree(
         }
         (JsonValue::Str(b), JsonValue::Str(c)) => {
             if b != c {
-                out.push(severity, path, format!("baseline {b:?}, current {c:?}"));
+                out.push(path, format!("baseline {b:?}, current {c:?}"));
             }
         }
         (JsonValue::Bool(b), JsonValue::Bool(c)) => {
             if b != c {
-                out.push(severity, path, format!("baseline {b}, current {c}"));
+                out.push(path, format!("baseline {b}, current {c}"));
             }
         }
         (JsonValue::Null, JsonValue::Null) => {}
         (JsonValue::Array(b), JsonValue::Array(c)) => {
             if b.len() != c.len() {
                 out.push(
-                    severity,
                     path,
                     format!(
                         "array length changed: baseline {}, current {}",
@@ -159,23 +107,23 @@ fn diff_tree(
                 return;
             }
             for (i, (bv, cv)) in b.iter().zip(c).enumerate() {
-                diff_tree(out, severity, &format!("{path}[{i}]"), bv, cv, tol_pct);
+                diff_tree(out, &format!("{path}[{i}]"), bv, cv, tol_pct);
             }
         }
         (JsonValue::Object(b), JsonValue::Object(c)) => {
             for (k, bv) in b {
                 match current.get(k) {
-                    Some(cv) => diff_tree(out, severity, &format!("{path}.{k}"), bv, cv, tol_pct),
-                    None => out.push(severity, format!("{path}.{k}"), "missing from current"),
+                    Some(cv) => diff_tree(out, &format!("{path}.{k}"), bv, cv, tol_pct),
+                    None => out.push(format!("{path}.{k}"), "missing from current"),
                 }
             }
             for (k, _) in c {
                 if baseline.get(k).is_none() {
-                    out.push(severity, format!("{path}.{k}"), "not in baseline");
+                    out.push(format!("{path}.{k}"), "not in baseline");
                 }
             }
         }
-        _ => out.push(severity, path, "value type changed"),
+        _ => out.push(path, "value type changed"),
     }
 }
 
@@ -191,25 +139,18 @@ fn cell_key(cell: &JsonValue) -> (String, String) {
 
 /// Diffs a current `pbm-bench-prof/v1` document against its baseline.
 /// All metrics are simulated cycles — deterministic — so every divergence
-/// beyond `tol_cycles_pct` (default policy: 0) is a [`Severity::Fail`].
+/// beyond `tol_cycles_pct` (default policy: 0) is a finding.
 pub fn compare_prof(baseline: &JsonValue, current: &JsonValue, tol_cycles_pct: u64) -> Comparison {
     let mut out = Comparison::new("BENCH_prof.json");
-    diff_tree(
-        &mut out,
-        Severity::Fail,
-        "schema",
-        baseline.get("schema").unwrap_or(&JsonValue::Null),
-        current.get("schema").unwrap_or(&JsonValue::Null),
-        0,
-    );
-    diff_tree(
-        &mut out,
-        Severity::Fail,
-        "quick",
-        baseline.get("quick").unwrap_or(&JsonValue::Null),
-        current.get("quick").unwrap_or(&JsonValue::Null),
-        0,
-    );
+    for key in ["schema", "quick"] {
+        diff_tree(
+            &mut out,
+            key,
+            baseline.get(key).unwrap_or(&JsonValue::Null),
+            current.get(key).unwrap_or(&JsonValue::Null),
+            0,
+        );
+    }
     let empty: [JsonValue; 0] = [];
     let bcells = baseline
         .get("cells")
@@ -226,15 +167,8 @@ pub fn compare_prof(baseline: &JsonValue, current: &JsonValue, tol_cycles_pct: u
             .iter()
             .find(|c| cell_key(c) == (cfg.clone(), wl.clone()))
         {
-            Some(ccell) => diff_tree(
-                &mut out,
-                Severity::Fail,
-                &path,
-                bcell,
-                ccell,
-                tol_cycles_pct,
-            ),
-            None => out.push(Severity::Fail, path, "cell missing from current run"),
+            Some(ccell) => diff_tree(&mut out, &path, bcell, ccell, tol_cycles_pct),
+            None => out.push(path, "cell missing from current run"),
         }
     }
     for ccell in ccells {
@@ -244,7 +178,6 @@ pub fn compare_prof(baseline: &JsonValue, current: &JsonValue, tol_cycles_pct: u
             .any(|b| cell_key(b) == (cfg.clone(), wl.clone()))
         {
             out.push(
-                Severity::Fail,
                 format!("cells[{cfg}/{wl}]"),
                 "cell not in baseline (update results/baselines/)",
             );
@@ -253,131 +186,35 @@ pub fn compare_prof(baseline: &JsonValue, current: &JsonValue, tol_cycles_pct: u
     out
 }
 
-fn run_key(run: &JsonValue) -> (String, u64, bool) {
-    (
-        run.get("binary")
-            .and_then(JsonValue::as_str)
-            .unwrap_or("?")
-            .to_string(),
-        run.get("jobs").and_then(JsonValue::as_u64).unwrap_or(0),
-        run.get("quick") == Some(&JsonValue::Bool(true)),
-    )
-}
-
-/// Diffs a current `pbm-bench-runner/v1` document against its baseline.
-/// Runs are matched by `(binary, jobs, quick)`. Wall-clock drift beyond
-/// `tol_wall_pct` and missing runs are advisory ([`Severity::Warn`] —
-/// wall-clock is machine-dependent); only a changed deterministic cell
-/// count hard-fails.
-pub fn compare_runner(baseline: &JsonValue, current: &JsonValue, tol_wall_pct: u64) -> Comparison {
-    let mut out = Comparison::new("BENCH_runner.json");
-    diff_tree(
-        &mut out,
-        Severity::Fail,
-        "schema",
-        baseline.get("schema").unwrap_or(&JsonValue::Null),
-        current.get("schema").unwrap_or(&JsonValue::Null),
-        0,
-    );
-    let empty: [JsonValue; 0] = [];
-    let bruns = baseline
-        .get("runs")
-        .and_then(JsonValue::as_array)
-        .unwrap_or(&empty);
-    let cruns = current
-        .get("runs")
-        .and_then(JsonValue::as_array)
-        .unwrap_or(&empty);
-    for brun in bruns {
-        let (bin, jobs, quick) = run_key(brun);
-        let path = format!("runs[{bin} jobs={jobs} quick={quick}]");
-        let Some(crun) = cruns
-            .iter()
-            .find(|c| run_key(c) == (bin.clone(), jobs, quick))
-        else {
-            out.push(Severity::Warn, path, "run missing from current document");
-            continue;
-        };
-        let get = |doc: &JsonValue, k: &str| doc.get(k).and_then(JsonValue::as_u64).unwrap_or(0);
-        let (bc, cc) = (get(brun, "cells"), get(crun, "cells"));
-        if bc != cc {
-            out.push(
-                Severity::Fail,
-                format!("{path}.cells"),
-                format!("baseline {bc}, current {cc}"),
-            );
-        }
-        let (bw, cw) = (get(brun, "wall_ms"), get(crun, "wall_ms"));
-        if out_of_tolerance(bw, cw, tol_wall_pct) {
-            out.push(
-                Severity::Warn,
-                format!("{path}.wall_ms"),
-                format!("baseline {bw} ms, current {cw} ms (tolerance {tol_wall_pct}%)"),
-            );
-        }
-    }
-    out
-}
-
-/// Renders comparisons as a human-readable table (one line per finding,
-/// `ok` lines for clean documents).
-pub fn render_table(comparisons: &[Comparison]) -> String {
+/// Renders a comparison as a human-readable table (one `FAIL` line per
+/// finding, or one `ok` line for a clean document).
+pub fn render_table(c: &Comparison) -> String {
     let mut out = String::new();
-    for c in comparisons {
-        if c.findings.is_empty() {
-            out.push_str(&format!("ok    {}: matches baseline\n", c.name));
-            continue;
-        }
-        for f in &c.findings {
-            out.push_str(&format!(
-                "{:<5} {}: {} — {}\n",
-                f.severity.name(),
-                c.name,
-                f.metric,
-                f.detail
-            ));
-        }
+    if c.pass() {
+        out.push_str(&format!("ok    {}: matches baseline\n", c.name));
     }
-    let failures: usize = comparisons.iter().map(Comparison::failures).sum();
-    let warnings: usize = comparisons.iter().map(Comparison::warnings).sum();
-    out.push_str(&format!(
-        "# regress: {failures} failure(s), {warnings} warning(s)\n"
-    ));
+    for f in &c.findings {
+        out.push_str(&format!("FAIL  {}: {} — {}\n", c.name, f.metric, f.detail));
+    }
+    out.push_str(&format!("# regress: {} failure(s)\n", c.findings.len()));
     out
 }
 
-/// The machine-readable verdict (`pbm-regress/v1`).
-pub fn verdict_json(comparisons: &[Comparison]) -> JsonValue {
-    let pass = comparisons.iter().all(Comparison::pass);
+/// The machine-readable verdict (`pbm-regress/v2`).
+pub fn verdict_json(c: &Comparison) -> JsonValue {
     JsonValue::Object(vec![
         ("schema".into(), JsonValue::Str(VERDICT_SCHEMA.into())),
-        ("pass".into(), JsonValue::Bool(pass)),
+        ("document".into(), JsonValue::Str(c.name.clone())),
+        ("pass".into(), JsonValue::Bool(c.pass())),
         (
-            "comparisons".into(),
+            "findings".into(),
             JsonValue::Array(
-                comparisons
+                c.findings
                     .iter()
-                    .map(|c| {
+                    .map(|f| {
                         JsonValue::Object(vec![
-                            ("name".into(), JsonValue::Str(c.name.clone())),
-                            (
-                                "findings".into(),
-                                JsonValue::Array(
-                                    c.findings
-                                        .iter()
-                                        .map(|f| {
-                                            JsonValue::Object(vec![
-                                                (
-                                                    "severity".into(),
-                                                    JsonValue::Str(f.severity.name().into()),
-                                                ),
-                                                ("metric".into(), JsonValue::Str(f.metric.clone())),
-                                                ("detail".into(), JsonValue::Str(f.detail.clone())),
-                                            ])
-                                        })
-                                        .collect(),
-                                ),
-                            ),
+                            ("metric".into(), JsonValue::Str(f.metric.clone())),
+                            ("detail".into(), JsonValue::Str(f.detail.clone())),
                         ])
                     })
                     .collect(),
@@ -431,10 +268,14 @@ mod tests {
     #[test]
     fn cycle_drift_fails_both_directions() {
         let worse = compare_prof(&prof_doc(500, true), &prof_doc(600, true), 0);
-        assert_eq!(worse.failures(), 1);
+        assert_eq!(worse.findings.len(), 1);
         assert!(worse.findings[0].metric.contains("latency.p99"));
         let better = compare_prof(&prof_doc(500, true), &prof_doc(400, true), 0);
-        assert_eq!(better.failures(), 1, "golden-file: improvements gate too");
+        assert_eq!(
+            better.findings.len(),
+            1,
+            "golden-file: improvements gate too"
+        );
         let tolerated = compare_prof(&prof_doc(500, true), &prof_doc(510, true), 5);
         assert!(tolerated.pass());
     }
@@ -462,47 +303,20 @@ mod tests {
             .any(|f| f.detail.contains("not in baseline")));
     }
 
-    fn runner_doc(wall: u64, cells: u64) -> JsonValue {
-        parse(&format!(
-            r#"{{"schema":"pbm-bench-runner/v1",
-                "runs":[{{"binary":"fig11","jobs":2,"cells":{cells},
-                          "quick":true,"wall_ms":{wall}}}]}}"#
-        ))
-        .unwrap()
-    }
-
-    #[test]
-    fn runner_wall_clock_only_warns() {
-        let c = compare_runner(&runner_doc(1000, 20), &runner_doc(5000, 20), 50);
-        assert!(c.pass(), "wall-clock drift never gates");
-        assert_eq!(c.warnings(), 1);
-        let within = compare_runner(&runner_doc(1000, 20), &runner_doc(1400, 20), 50);
-        assert!(within.findings.is_empty());
-    }
-
-    #[test]
-    fn runner_cell_count_change_fails() {
-        let c = compare_runner(&runner_doc(1000, 20), &runner_doc(1000, 16), 50);
-        assert_eq!(c.failures(), 1);
-    }
-
-    #[test]
-    fn runner_missing_run_warns() {
-        let none = parse(r#"{"schema":"pbm-bench-runner/v1","runs":[]}"#).unwrap();
-        let c = compare_runner(&runner_doc(1000, 20), &none, 50);
-        assert!(c.pass());
-        assert_eq!(c.warnings(), 1);
-    }
-
     #[test]
     fn table_and_verdict_shapes() {
         let clean = compare_prof(&prof_doc(500, true), &prof_doc(500, true), 0);
         let dirty = compare_prof(&prof_doc(500, true), &prof_doc(600, true), 0);
-        let table = render_table(&[clean.clone(), dirty.clone()]);
-        assert!(table.contains("ok    BENCH_prof.json"));
-        assert!(table.contains("FAIL"));
+        assert!(render_table(&clean).contains("ok    BENCH_prof.json"));
+        assert!(render_table(&clean).contains("0 failure(s)"));
+        let table = render_table(&dirty);
+        assert!(table.contains("FAIL  BENCH_prof.json: cells[lb/micro48].latency.p99"));
         assert!(table.contains("1 failure(s)"));
-        let v = verdict_json(&[clean, dirty]);
+        assert_eq!(
+            verdict_json(&clean).get("pass"),
+            Some(&JsonValue::Bool(true))
+        );
+        let v = verdict_json(&dirty);
         assert_eq!(v.get("pass"), Some(&JsonValue::Bool(false)));
         assert_eq!(v.get("schema").unwrap().as_str(), Some(VERDICT_SCHEMA));
         let text = v.to_json();

@@ -125,7 +125,6 @@ impl System {
         let i = core.index();
         let t0 = self.now;
         let nbanks = self.cfg.llc_banks;
-        self.flush_started.insert(tag, t0);
         if self.obs.is_enabled() {
             let reason = self.flush_reasons[i]
                 .get(&tag.epoch)
@@ -378,11 +377,6 @@ impl System {
         }
         self.clear_epoch_lines(tag);
         self.stats.epochs_persisted += 1;
-        if let Some(start) = self.flush_started.remove(&tag) {
-            self.stats
-                .epoch_flush_latency
-                .record((now - start).as_u64());
-        }
         match self.flush_reasons[tag.core.index()]
             .remove(&tag.epoch)
             .unwrap_or(FlushReason::Drain)

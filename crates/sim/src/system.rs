@@ -115,8 +115,6 @@ pub struct System {
     pub(crate) waiters: HashMap<EpochTag, Vec<CoreId>>,
     /// Pending flush-trigger attribution per core.
     pub(crate) flush_reasons: Vec<BTreeMap<EpochId, FlushReason>>,
-    /// Flush start time per in-flight epoch (for the latency histogram).
-    pub(crate) flush_started: HashMap<EpochTag, Cycle>,
     /// BSP: cycle by which an epoch's undo-log records are durable.
     pub(crate) log_ready: HashMap<EpochTag, Cycle>,
     pub(crate) queue: EventQueue,
@@ -188,7 +186,6 @@ impl System {
             locks: HashMap::new(),
             waiters: HashMap::new(),
             flush_reasons: vec![BTreeMap::new(); cfg.cores],
-            flush_started: HashMap::new(),
             log_ready: HashMap::new(),
             queue: EventQueue::new(),
             scratch: Scratch::default(),

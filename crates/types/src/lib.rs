@@ -44,5 +44,5 @@ pub use kinds::{BarrierKind, FlushMode, PersistencyKind};
 pub use obs::{
     EpochPhase, FlushReason, MetricSample, NocClass, StallKind, TraceEvent, TraceEventKind,
 };
-pub use stats::{Histogram, SimStats};
+pub use stats::SimStats;
 pub use time::Cycle;

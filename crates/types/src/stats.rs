@@ -1,222 +1,6 @@
-//! Simulation statistics: counters and histograms.
+//! Simulation statistics: counters.
 
 use serde::{Deserialize, Serialize};
-use std::fmt;
-
-/// A fixed-bucket power-of-two histogram for latency-like quantities.
-///
-/// Bucket `i` counts samples in `[2^i, 2^(i+1))`; bucket 0 also counts 0.
-/// Buckets are stored only up to the highest occupied one, so an empty
-/// histogram allocates nothing and a copy of a typical one stays small.
-///
-/// # Example
-///
-/// ```
-/// use pbm_types::Histogram;
-/// let mut h = Histogram::new();
-/// h.record(3);
-/// h.record(1000);
-/// assert_eq!(h.count(), 2);
-/// assert_eq!(h.max(), 1000);
-/// assert!(h.mean() > 500.0);
-/// ```
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Histogram {
-    buckets: Vec<u64>,
-    count: u64,
-    sum: u64,
-    max: u64,
-}
-
-impl Histogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Self {
-        Histogram {
-            buckets: Vec::new(),
-            count: 0,
-            sum: 0,
-            max: 0,
-        }
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, value: u64) {
-        let bucket = if value == 0 {
-            0
-        } else {
-            63 - value.leading_zeros() as usize
-        };
-        if bucket >= self.buckets.len() {
-            self.buckets.resize(bucket + 1, 0);
-        }
-        self.buckets[bucket] += 1;
-        self.count += 1;
-        self.sum += value;
-        self.max = self.max.max(value);
-    }
-
-    /// Number of samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of all samples.
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
-    /// Largest sample seen, or 0 if empty.
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Arithmetic mean of samples, or 0.0 if empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// The `p`-th percentile (0–100), estimated from the bucket structure.
-    ///
-    /// Returns the upper bound of the smallest bucket whose cumulative
-    /// count reaches `p` percent of samples, clamped to the largest sample
-    /// actually observed. Returns 0 for an empty histogram.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use pbm_types::Histogram;
-    /// let mut h = Histogram::new();
-    /// for _ in 0..99 { h.record(10); }
-    /// h.record(1000);
-    /// assert_eq!(h.percentile(50.0), 15); // bucket [8, 16)
-    /// assert_eq!(h.percentile(100.0), 1000);
-    /// ```
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is outside `[0, 100]`.
-    pub fn percentile(&self, p: f64) -> u64 {
-        assert!((0.0..=100.0).contains(&p), "percentile {p} out of range");
-        if self.count == 0 {
-            return 0;
-        }
-        let target = ((p / 100.0) * self.count as f64).ceil().max(1.0) as u64;
-        let mut cumulative = 0u64;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            cumulative += n;
-            if cumulative >= target {
-                let upper = if i >= 63 {
-                    u64::MAX
-                } else {
-                    (1u64 << (i + 1)) - 1
-                };
-                return upper.min(self.max);
-            }
-        }
-        self.max
-    }
-
-    /// The occupied power-of-two buckets as `(lower, upper, count)`
-    /// triples, in ascending order. Bucket `[2^i, 2^(i+1))` is reported
-    /// with `lower = 2^i` (0 for bucket 0, which also counts zero samples)
-    /// and `upper = 2^(i+1) - 1`; empty buckets are skipped, so JSON
-    /// exports stay compact.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use pbm_types::Histogram;
-    /// let mut h = Histogram::new();
-    /// h.record(3);
-    /// h.record(3);
-    /// h.record(40);
-    /// assert_eq!(h.nonzero_buckets(), vec![(2, 3, 2), (32, 63, 1)]);
-    /// ```
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64, u64)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &n)| n > 0)
-            .map(|(i, &n)| {
-                let lower = if i == 0 { 0 } else { 1u64 << i };
-                let upper = if i >= 63 {
-                    u64::MAX
-                } else {
-                    (1u64 << (i + 1)) - 1
-                };
-                (lower, upper, n)
-            })
-            .collect()
-    }
-
-    /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        if self.buckets.len() < other.buckets.len() {
-            self.buckets.resize(other.buckets.len(), 0);
-        }
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.max = self.max.max(other.max);
-    }
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl fmt::Debug for Histogram {
-    /// Shows all 64 buckets, occupied or not.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut buckets = [0u64; 64];
-        buckets[..self.buckets.len()].copy_from_slice(&self.buckets);
-        f.debug_struct("Histogram")
-            .field("buckets", &buckets)
-            .field("count", &self.count)
-            .field("sum", &self.sum)
-            .field("max", &self.max)
-            .finish()
-    }
-}
-
-impl fmt::Display for Histogram {
-    /// One-line summary with percentiles; the alternate flag (`{:#}`)
-    /// appends a bar chart of the occupied power-of-two buckets.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "n={} mean={:.1} p50={} p95={} p99={} max={}",
-            self.count,
-            self.mean(),
-            self.percentile(50.0),
-            self.percentile(95.0),
-            self.percentile(99.0),
-            self.max
-        )?;
-        if !f.alternate() || self.count == 0 {
-            return Ok(());
-        }
-        const BAR_WIDTH: u64 = 40;
-        let lo = self.buckets.iter().position(|&n| n > 0).unwrap_or(0);
-        let hi = self.buckets.iter().rposition(|&n| n > 0).unwrap_or(0);
-        let peak = *self.buckets.iter().max().unwrap_or(&1);
-        for (i, &n) in self.buckets.iter().enumerate().take(hi + 1).skip(lo) {
-            let bar = (n * BAR_WIDTH).div_ceil(peak.max(1)) as usize;
-            let lower = if i == 0 { 0 } else { 1u64 << i };
-            writeln!(f)?;
-            write!(f, "  {:>12} |{:<40}| {}", lower, "#".repeat(bar), n)?;
-        }
-        Ok(())
-    }
-}
 
 /// Aggregated counters from one simulation run.
 ///
@@ -300,10 +84,6 @@ pub struct SimStats {
     pub noc_messages: u64,
     /// Flits injected into the on-chip network.
     pub noc_flits: u64,
-
-    /// Distribution of epoch flush latencies (cycles from flush start to
-    /// PersistCMP).
-    pub epoch_flush_latency: Histogram,
 }
 
 impl SimStats {
@@ -372,95 +152,12 @@ impl SimStats {
         self.barrier_stall_cycles += other.barrier_stall_cycles;
         self.noc_messages += other.noc_messages;
         self.noc_flits += other.noc_flits;
-        self.epoch_flush_latency.merge(&other.epoch_flush_latency);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn histogram_buckets() {
-        let mut h = Histogram::new();
-        h.record(0);
-        h.record(1);
-        h.record(2);
-        h.record(3);
-        h.record(1024);
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.sum(), 1030);
-        assert_eq!(h.max(), 1024);
-        assert!((h.mean() - 206.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn histogram_merge() {
-        let mut a = Histogram::new();
-        a.record(5);
-        let mut b = Histogram::new();
-        b.record(100);
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.max(), 100);
-    }
-
-    #[test]
-    fn merged_equals_recorded() {
-        let (mut a, mut b, mut both) = (Histogram::new(), Histogram::new(), Histogram::new());
-        a.record(3);
-        b.record(70_000);
-        both.record(3);
-        both.record(70_000);
-        a.merge(&b);
-        assert_eq!(a, both);
-        b.merge(&Histogram::new());
-        assert_eq!(b.nonzero_buckets(), [(65_536, 131_071, 1)]);
-    }
-
-    #[test]
-    fn empty_histogram_mean_is_zero() {
-        assert_eq!(Histogram::new().mean(), 0.0);
-    }
-
-    #[test]
-    fn percentiles_follow_buckets() {
-        let mut h = Histogram::new();
-        assert_eq!(h.percentile(50.0), 0);
-        for _ in 0..90 {
-            h.record(100); // bucket [64, 128)
-        }
-        for _ in 0..10 {
-            h.record(5000); // bucket [4096, 8192)
-        }
-        assert_eq!(h.percentile(50.0), 127);
-        assert_eq!(h.percentile(90.0), 127);
-        assert_eq!(h.percentile(95.0), 5000); // clamped to observed max
-        assert_eq!(h.percentile(99.0), 5000);
-        assert_eq!(h.percentile(0.0), 127); // smallest non-empty bucket
-    }
-
-    #[test]
-    fn percentile_of_single_sample_is_that_sample() {
-        let mut h = Histogram::new();
-        h.record(42);
-        for p in [0.0, 50.0, 99.0, 100.0] {
-            assert_eq!(h.percentile(p), 42);
-        }
-    }
-
-    #[test]
-    fn display_has_percentiles_and_alternate_bars() {
-        let mut h = Histogram::new();
-        h.record(3);
-        h.record(300);
-        let plain = format!("{h}");
-        assert!(plain.contains("p50="));
-        assert!(!plain.contains('#'));
-        let bars = format!("{h:#}");
-        assert!(bars.contains('#'));
-        assert!(bars.lines().count() > 1);
-    }
 
     #[test]
     fn conflicting_epoch_pct() {
