@@ -7,8 +7,7 @@
 //! tracks a sharer bitmask and an optional exclusive owner per LLC-resident
 //! line — the minimal state for those two jobs.
 
-use pbm_types::{CoreId, LineAddr};
-use std::collections::HashMap;
+use pbm_types::{CoreId, FxHashMap, LineAddr};
 
 /// Directory state for one line.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -47,7 +46,7 @@ impl DirEntry {
 /// exist only for lines the controller chooses to track).
 #[derive(Debug, Clone, Default)]
 pub struct Directory {
-    entries: HashMap<LineAddr, DirEntry>,
+    entries: FxHashMap<LineAddr, DirEntry>,
 }
 
 impl Directory {

@@ -1,7 +1,7 @@
 //! Exact per-epoch line index.
 
-use pbm_types::{EpochTag, LineAddr};
-use std::collections::{BTreeSet, HashMap};
+use pbm_types::{EpochTag, FxHashMap, LineAddr};
+use std::collections::BTreeSet;
 
 /// Tracks, per epoch, exactly which resident lines it dirtied.
 ///
@@ -12,7 +12,7 @@ use std::collections::{BTreeSet, HashMap};
 /// deterministic.
 #[derive(Debug, Clone, Default)]
 pub struct EpochIndex {
-    by_epoch: HashMap<EpochTag, BTreeSet<LineAddr>>,
+    by_epoch: FxHashMap<EpochTag, BTreeSet<LineAddr>>,
 }
 
 impl EpochIndex {

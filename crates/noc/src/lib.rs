@@ -36,7 +36,7 @@ pub use message::MessageClass;
 pub use routing::{route_xy, RouteIter};
 pub use topology::{Coord, Placement};
 
-use pbm_types::{Cycle, NodeId, SystemConfig};
+use pbm_types::{Cycle, McId, NodeId, SystemConfig};
 
 /// The 2D-mesh network: topology, placement and link-contention state.
 ///
@@ -45,6 +45,10 @@ use pbm_types::{Cycle, NodeId, SystemConfig};
 /// occupancy so later messages sharing links observe queueing delay.
 /// [`Mesh::latency_unloaded`] answers "how long with no contention" without
 /// mutating state.
+///
+/// The XY route of every (source tile, destination tile) pair is computed
+/// once at construction; `send` reads the pair's link list instead of
+/// walking the route hop by hop.
 #[derive(Debug, Clone)]
 pub struct Mesh {
     placement: Placement,
@@ -53,6 +57,17 @@ pub struct Mesh {
     /// busy-until time per directed link and virtual network, indexed by
     /// `(from_tile * 4 + direction) * VNETS + vnet`.
     link_busy: Vec<Cycle>,
+    /// Number of tiles (`rows * cols`).
+    tiles: usize,
+    /// The corner tile of each memory controller.
+    mc_tiles: Vec<usize>,
+    /// The links of every XY route, concatenated: the route from tile `s`
+    /// to tile `d` is `route_links[route_start[p]..route_start[p + 1]]`
+    /// with `p = s * tiles + d`, each link stored as its `link_busy` index
+    /// for virtual network 0.
+    route_links: Vec<u32>,
+    /// Offsets into `route_links`, one per tile pair plus the end.
+    route_start: Vec<u32>,
     messages: u64,
     flits: u64,
     /// Total head-flit queueing per virtual network (diagnostics).
@@ -89,12 +104,31 @@ impl Mesh {
     /// Builds the mesh for a validated system configuration.
     pub fn new(cfg: &SystemConfig) -> Self {
         let placement = Placement::new(cfg);
-        let tiles = placement.rows() * placement.cols();
+        let cols = placement.cols();
+        let tiles = placement.rows() * cols;
+        let coord = |t: usize| Coord::new(t / cols, t % cols);
+        let mut route_links = Vec::new();
+        let mut route_start = Vec::with_capacity(tiles * tiles + 1);
+        for s in 0..tiles {
+            for d in 0..tiles {
+                route_start.push(route_links.len() as u32);
+                let route = route_xy(coord(s), coord(d));
+                route_links.extend(route.map(|(from, to)| Self::link(cols, from, to)));
+            }
+        }
+        route_start.push(route_links.len() as u32);
+        let mc_tiles = (0..cfg.mcs)
+            .map(|m| placement.coord(NodeId::Mc(McId::new(m as u32))).index(cols))
+            .collect();
         Mesh {
             placement,
             hop_latency: cfg.hop_latency,
             flit_bytes: cfg.flit_bytes,
             link_busy: vec![Cycle::ZERO; tiles * 4 * MessageClass::VNETS],
+            tiles,
+            mc_tiles,
+            route_links,
+            route_start,
             messages: 0,
             flits: 0,
             wait_cycles: [0; MessageClass::VNETS],
@@ -169,8 +203,11 @@ impl Mesh {
     /// and the tail arrives `flits - 1` cycles later. A message to the
     /// local tile still pays one router traversal.
     pub fn latency_unloaded(&self, src: NodeId, dst: NodeId, class: MessageClass) -> Cycle {
-        let hops = self.hops(src, dst);
-        let flits = self.flits_for(class);
+        self.unloaded(self.hops(src, dst), self.flits_for(class))
+    }
+
+    /// Contention-free latency of a `flits`-flit message over `hops` hops.
+    fn unloaded(&self, hops: u64, flits: u64) -> Cycle {
         Cycle::new(hops.max(1) * self.hop_latency + (flits - 1))
     }
 
@@ -193,29 +230,59 @@ impl Mesh {
         let flits = self.flits_for(class);
         self.messages += 1;
         self.flits += flits;
-        let a = self.placement.coord(src);
-        let b = self.placement.coord(dst);
-        if a == b {
+        let (s, d) = (self.tile(src), self.tile(dst));
+        if s == d {
             // Same tile (e.g. core to its colocated bank): router-internal.
-            return now + Cycle::new(self.hop_latency + (flits - 1)) + self.jitter();
+            return now + self.unloaded(0, flits) + self.jitter();
         }
+        let pair = s * self.tiles + d;
+        let (first, end) = (
+            self.route_start[pair] as usize,
+            self.route_start[pair + 1] as usize,
+        );
         if now > self.now {
             // Future-dated message (inline cascade): unloaded latency, no
             // link reservation — it must not block present-time traffic.
-            return now + self.latency_unloaded(src, dst, class) + self.jitter();
+            return now + self.unloaded((end - first) as u64, flits) + self.jitter();
         }
-        let cols = self.placement.cols();
+        let vnet = class.vnet();
         let mut head = now;
-        for (from, to) in route_xy(a, b) {
-            let dir = Self::dir(from, to);
-            let link = (from.index(cols) * 4 + dir.index()) * MessageClass::VNETS + class.vnet();
+        for &link in &self.route_links[first..end] {
+            let link = link as usize + vnet;
             // Head flit waits for the link, link is held for `flits` cycles.
             let start = head.max(self.link_busy[link]);
-            self.wait_cycles[class.vnet()] += (start - head).as_u64();
+            self.wait_cycles[vnet] += (start - head).as_u64();
             self.link_busy[link] = start + Cycle::new(flits);
             head = start + Cycle::new(self.hop_latency);
         }
         head + Cycle::new(flits - 1) + self.jitter()
+    }
+
+    /// The tile index of a node: core and bank `i` on tile `i`, memory
+    /// controllers on their corner tiles.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the node lies outside the mesh (a wiring bug in the
+    /// caller, as in [`Placement::coord`]).
+    fn tile(&self, node: NodeId) -> usize {
+        let t = match node {
+            NodeId::Core(c) => c.index(),
+            NodeId::Bank(b) => b.index(),
+            NodeId::Mc(m) => return self.mc_tiles[m.index()],
+        };
+        assert!(
+            t < self.tiles,
+            "tile {t} outside the {}-tile mesh",
+            self.tiles
+        );
+        t
+    }
+
+    /// The `link_busy` index (virtual network 0) of the directed link
+    /// `from -> to` on a mesh with `cols` columns.
+    fn link(cols: usize, from: Coord, to: Coord) -> u32 {
+        ((from.index(cols) * 4 + Self::dir(from, to).index()) * MessageClass::VNETS) as u32
     }
 
     fn dir(from: Coord, to: Coord) -> Dir {
@@ -428,5 +495,170 @@ mod tests {
             Cycle::new(10),
         );
         assert_eq!(t, Cycle::new(10 + 3)); // hop_latency = 3 in Table 1 model
+    }
+
+    /// Mesh shapes the route table must cover: the paper's 4x8, the 2x2
+    /// test system, and a non-square 4x16 with more banks than cores.
+    fn configs() -> Vec<SystemConfig> {
+        let mut wide = SystemConfig::micro48();
+        wide.llc_banks = 64;
+        vec![SystemConfig::micro48(), SystemConfig::small_test(), wide]
+    }
+
+    #[test]
+    fn route_table_holds_the_xy_route_of_every_tile_pair() {
+        for cfg in configs() {
+            let m = Mesh::new(&cfg);
+            let cols = m.placement().cols();
+            let coord = |t: usize| Coord::new(t / cols, t % cols);
+            for s in 0..m.tiles {
+                for d in 0..m.tiles {
+                    let p = s * m.tiles + d;
+                    let table =
+                        &m.route_links[m.route_start[p] as usize..m.route_start[p + 1] as usize];
+                    let walked: Vec<u32> = route_xy(coord(s), coord(d))
+                        .map(|(from, to)| Mesh::link(cols, from, to))
+                        .collect();
+                    assert_eq!(table, &walked[..], "route {s} -> {d}");
+                    let hops = m.hops(
+                        NodeId::Core(CoreId::new(s as u32)),
+                        NodeId::Bank(BankId::new(d as u32)),
+                    );
+                    assert_eq!(table.len() as u64, hops, "route {s} -> {d}");
+                }
+            }
+            for mc in 0..cfg.mcs {
+                let node = NodeId::Mc(McId::new(mc as u32));
+                assert_eq!(m.tile(node), m.placement().coord(node).index(cols));
+            }
+        }
+    }
+
+    /// The hop-by-hop model the route table replaced: every send walks
+    /// `route_xy` between `Placement::coord`s and derives each link.
+    struct WalkedMesh {
+        placement: Placement,
+        hop_latency: u64,
+        flit_bytes: u64,
+        link_busy: Vec<Cycle>,
+        wait_cycles: [u64; MessageClass::VNETS],
+        flits: u64,
+        now: Cycle,
+        jitter_max: u64,
+        jitter_state: u64,
+    }
+
+    impl WalkedMesh {
+        fn new(cfg: &SystemConfig, jitter_max: u64, seed: u64) -> Self {
+            let placement = Placement::new(cfg);
+            let tiles = placement.rows() * placement.cols();
+            WalkedMesh {
+                placement,
+                hop_latency: cfg.hop_latency,
+                flit_bytes: cfg.flit_bytes,
+                link_busy: vec![Cycle::ZERO; tiles * 4 * MessageClass::VNETS],
+                wait_cycles: [0; MessageClass::VNETS],
+                flits: 0,
+                now: Cycle::ZERO,
+                jitter_max,
+                jitter_state: seed,
+            }
+        }
+
+        fn jitter(&mut self) -> Cycle {
+            if self.jitter_max == 0 {
+                return Cycle::ZERO;
+            }
+            Cycle::new(splitmix64(&mut self.jitter_state) % (self.jitter_max + 1))
+        }
+
+        fn send(&mut self, src: NodeId, dst: NodeId, class: MessageClass, now: Cycle) -> Cycle {
+            let flits = class.bytes().div_ceil(self.flit_bytes).max(1);
+            self.flits += flits;
+            let a = self.placement.coord(src);
+            let b = self.placement.coord(dst);
+            if a == b {
+                return now + Cycle::new(self.hop_latency + (flits - 1)) + self.jitter();
+            }
+            if now > self.now {
+                let unloaded = a.manhattan(b) * self.hop_latency + (flits - 1);
+                return now + Cycle::new(unloaded) + self.jitter();
+            }
+            let cols = self.placement.cols();
+            let mut head = now;
+            for (from, to) in route_xy(a, b) {
+                let dir = Mesh::dir(from, to);
+                let link =
+                    (from.index(cols) * 4 + dir.index()) * MessageClass::VNETS + class.vnet();
+                let start = head.max(self.link_busy[link]);
+                self.wait_cycles[class.vnet()] += (start - head).as_u64();
+                self.link_busy[link] = start + Cycle::new(flits);
+                head = start + Cycle::new(self.hop_latency);
+            }
+            head + Cycle::new(flits - 1) + self.jitter()
+        }
+    }
+
+    /// A node of the 32-tile mesh: kind 0 = core, 1 = bank, 2 = MC.
+    fn node(kind: u8, index: u32) -> NodeId {
+        match kind {
+            0 => NodeId::Core(CoreId::new(index)),
+            1 => NodeId::Bank(BankId::new(index)),
+            _ => NodeId::Mc(McId::new(index % 4)),
+        }
+    }
+
+    fn class(k: u8) -> MessageClass {
+        [
+            MessageClass::Control,
+            MessageClass::Data,
+            MessageClass::Writeback,
+        ][k as usize]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn prop_table_send_matches_the_walked_route(
+            // (src kind, src index, dst kind, dst index, class, (clock
+            // advance, injection offset)). A destination index of 32 or
+            // more means "the source's own tile"; a positive offset is a
+            // future-dated send, a negative one an out-of-order past send.
+            // Sources cluster on the first 12 tiles and the clock advances
+            // slowly, so messages often meet on a link in either direction.
+            msgs in proptest::collection::vec(
+                (0u8..3, 0u32..12, 0u8..3, 0u32..40, 0u8..3, (
+                    0u64..4,
+                    proptest::prop_oneof![
+                        6 => proptest::prelude::Just(0i64),
+                        2 => 1i64..80,
+                        1 => -30i64..0,
+                    ],
+                )),
+                1..300,
+            ),
+            jitter in 0u64..3,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let cfg = SystemConfig::micro48();
+            let mut table = Mesh::new(&cfg);
+            table.set_jitter(jitter, seed);
+            let mut walked = WalkedMesh::new(&cfg, jitter, seed);
+            let mut clock = 0u64;
+            for (sk, si, dk, di, ck, (advance, offset)) in msgs {
+                clock += advance;
+                table.advance_to(Cycle::new(clock));
+                walked.now = walked.now.max(Cycle::new(clock));
+                let src = node(sk, si);
+                let dst = if di >= 32 { node(dk.min(1), si) } else { node(dk, di) };
+                let at = Cycle::new(clock.saturating_add_signed(offset));
+                let got = table.send(src, dst, class(ck), at);
+                let want = walked.send(src, dst, class(ck), at);
+                proptest::prop_assert_eq!(got, want, "{:?} -> {:?} at {}", src, dst, at);
+            }
+            proptest::prop_assert_eq!(table.wait_cycles(), walked.wait_cycles);
+            proptest::prop_assert_eq!(table.flit_count(), walked.flits);
+        }
     }
 }

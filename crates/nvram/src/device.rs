@@ -1,7 +1,7 @@
 //! The NVRAM device: durable line store with optional write history.
 
 use crate::crash::DurableSnapshot;
-use pbm_types::{Cycle, LineAddr};
+use pbm_types::{Cycle, FxHashMap, LineAddr};
 use std::collections::HashMap;
 
 /// The modelled contents of one 64-byte line: an opaque token.
@@ -20,7 +20,7 @@ pub type LineValue = u64;
 /// all crash-consistency checking in this repository is built.
 #[derive(Debug, Clone, Default)]
 pub struct NvramDevice {
-    lines: HashMap<LineAddr, LineValue>,
+    lines: FxHashMap<LineAddr, LineValue>,
     history: Option<Vec<(Cycle, LineAddr, LineValue)>>,
     writes: u64,
     reads: u64,
@@ -108,7 +108,7 @@ impl NvramDevice {
 
     /// The current durable state as a snapshot (works without history).
     pub fn snapshot_now(&self, at: Cycle) -> DurableSnapshot {
-        DurableSnapshot::new(self.lines.clone(), at)
+        DurableSnapshot::new(self.lines.iter().map(|(l, v)| (*l, *v)).collect(), at)
     }
 
     /// The distinct cycles at which at least one durable write completed,

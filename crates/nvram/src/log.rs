@@ -7,8 +7,7 @@
 //! is applied in reverse to undo partially-persisted epochs.
 
 use crate::device::LineValue;
-use pbm_types::{Cycle, EpochTag, LineAddr};
-use std::collections::HashMap;
+use pbm_types::{Cycle, EpochTag, FxHashMap, LineAddr};
 
 /// One undo-log entry: the pre-image of a line modified by an epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,7 +36,7 @@ pub struct UndoLog {
     records: Vec<LogRecord>,
     /// Per epoch: indices into `records` of its not-yet-committed records,
     /// so a commit touches only its own epoch's records.
-    uncommitted: HashMap<EpochTag, Vec<usize>>,
+    uncommitted: FxHashMap<EpochTag, Vec<usize>>,
     appended: u64,
     committed_epochs: u64,
 }

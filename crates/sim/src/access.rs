@@ -421,9 +421,6 @@ impl System {
     /// Common blocked-path bookkeeping: make sure the blocking epoch is
     /// flushable and its flush requested, then report the blockage.
     fn blocked_on(&mut self, tag: EpochTag, reason: FlushReason) -> Access {
-        if reason == FlushReason::Eviction {
-            self.stats.conflicts_intra += 0; // evictions are not conflicts
-        }
         let tag = self.ensure_flushable(tag);
         self.request_flush(tag.core, tag.epoch, reason);
         Access::Blocked { tag }
@@ -555,13 +552,10 @@ impl System {
         }
         self.l1s[i].array.remove(victim_addr);
         self.l1s[i].exclusive.remove(&victim_addr);
+        // A dirty victim's data now lives in the LLC; either way this
+        // core no longer holds the line.
         let vb = self.bank_of(victim_addr);
-        if !victim.is_dirty() {
-            self.banks[vb.index()].dir.drop_core(victim_addr, core);
-        } else {
-            // Dirty writeback: the LLC now owns the data.
-            self.banks[vb.index()].dir.drop_core(victim_addr, core);
-        }
+        self.banks[vb.index()].dir.drop_core(victim_addr, core);
         Ok(())
     }
 }

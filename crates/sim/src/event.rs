@@ -8,10 +8,12 @@
 //!   FIFO within a bucket, with a binary-heap fallback for events beyond
 //!   the wheel horizon. Schedule and pop are O(1) on the hot path
 //!   (bounded event horizons are the common case in this simulator: L1 /
-//!   LLC / mesh / NVRAM latencies are all small constants).
+//!   LLC / mesh / NVRAM latencies are all small constants). All wheel
+//!   entries live in one slab; a bucket is a linked FIFO of slab indices
+//!   and freed entries are reused, so steady-state scheduling allocates
+//!   nothing.
 //! * [`HeapEventQueue`] — the log-n reference implementation (a plain
-//!   `BinaryHeap`), kept as the property-test oracle and the baseline leg
-//!   of the `event_queue` Criterion bench.
+//!   `BinaryHeap`), kept as the property-test oracle.
 //!
 //! Ties at the same cycle break strictly by insertion sequence — the
 //! [`Event`] payload deliberately has **no** `Ord` implementation, so a
@@ -20,7 +22,7 @@
 
 use pbm_types::{BankId, CoreId, Cycle, EpochId};
 use std::cmp::{Ordering, Reverse};
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 /// A scheduled simulator event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,18 +61,42 @@ impl PartialOrd for Scheduled {
 const WHEEL_SLOTS: usize = 4096;
 const WHEEL_WORDS: usize = WHEEL_SLOTS / 64;
 
+/// End-of-list marker for slab links.
+const NIL: u32 = u32::MAX;
+
+/// One wheel entry in the slab: the event, its insertion sequence, and
+/// the next entry of the same bucket (or of the free list).
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    seq: u64,
+    event: Event,
+    next: u32,
+}
+
+/// A bucket's FIFO as slab indices (`head == NIL` when empty; `tail` is
+/// then stale).
+#[derive(Debug, Clone, Copy)]
+struct Bucket {
+    head: u32,
+    tail: u32,
+}
+
 /// Time-ordered event queue: a bucketed timing wheel over
 /// `WHEEL_SLOTS` (4096) cycles with a heap fallback for far-future events.
 /// Ties break by insertion sequence, making the simulation fully
 /// deterministic; pop order is identical to [`HeapEventQueue`].
 #[derive(Debug)]
 pub struct EventQueue {
-    /// `wheel[c % WHEEL_SLOTS]` holds the events of cycle `c` for every
+    /// `buckets[c % WHEEL_SLOTS]` links the events of cycle `c` for every
     /// `c` in `[floor, floor + WHEEL_SLOTS)`, in insertion order. The
     /// window is exactly one wheel revolution, so each bucket holds at
     /// most one distinct cycle and FIFO order within a bucket *is*
     /// sequence order.
-    wheel: Vec<VecDeque<(u64, Event)>>,
+    buckets: Vec<Bucket>,
+    /// Storage of every wheel entry; buckets and the free list link into it.
+    slab: Vec<Entry>,
+    /// Head of the list of reusable slab entries.
+    free: u32,
     /// One bit per bucket: set iff the bucket is non-empty.
     occupied: [u64; WHEEL_WORDS],
     /// Events scheduled beyond the wheel horizon (or, defensively, in the
@@ -85,7 +111,15 @@ pub struct EventQueue {
 impl Default for EventQueue {
     fn default() -> Self {
         EventQueue {
-            wheel: (0..WHEEL_SLOTS).map(|_| VecDeque::new()).collect(),
+            buckets: vec![
+                Bucket {
+                    head: NIL,
+                    tail: NIL
+                };
+                WHEEL_SLOTS
+            ],
+            slab: Vec::new(),
+            free: NIL,
             occupied: [0; WHEEL_WORDS],
             overflow: BinaryHeap::new(),
             floor: 0,
@@ -109,8 +143,28 @@ impl EventQueue {
         let t = at.as_u64();
         if t >= self.floor && t - self.floor < WHEEL_SLOTS as u64 {
             let b = (t % WHEEL_SLOTS as u64) as usize;
-            self.wheel[b].push_back((seq, event));
-            self.occupied[b / 64] |= 1 << (b % 64);
+            let entry = Entry {
+                seq,
+                event,
+                next: NIL,
+            };
+            let k = if self.free == NIL {
+                self.slab.push(entry);
+                u32::try_from(self.slab.len() - 1).expect("fewer than 2^32 pending events")
+            } else {
+                let k = self.free;
+                self.free = self.slab[k as usize].next;
+                self.slab[k as usize] = entry;
+                k
+            };
+            let bucket = &mut self.buckets[b];
+            if bucket.head == NIL {
+                bucket.head = k;
+                self.occupied[b / 64] |= 1 << (b % 64);
+            } else {
+                self.slab[bucket.tail as usize].next = k;
+            }
+            bucket.tail = k;
         } else {
             self.overflow.push(Reverse(Scheduled { at, seq, event }));
         }
@@ -128,11 +182,8 @@ impl EventQueue {
             (Some((oat, oseq)), Some(wat)) => {
                 // At equal cycles the smaller sequence wins; a bucket's
                 // front entry is its minimum sequence (FIFO insertion).
-                let wseq = self.wheel[wheel_bucket.expect("occupied")]
-                    .front()
-                    .expect("occupied bucket non-empty")
-                    .0;
-                (oat, oseq) < (wat, wseq)
+                let head = self.buckets[wheel_bucket.expect("occupied")].head;
+                (oat, oseq) < (wat, self.slab[head as usize].seq)
             }
         };
         self.len -= 1;
@@ -143,10 +194,14 @@ impl EventQueue {
         }
         let b = wheel_bucket.expect("wheel path");
         let at = wheel_cycle.expect("wheel path");
-        let (_, event) = self.wheel[b].pop_front().expect("occupied bucket");
-        if self.wheel[b].is_empty() {
+        let k = self.buckets[b].head;
+        let Entry { event, next, .. } = self.slab[k as usize];
+        self.buckets[b].head = next;
+        if next == NIL {
             self.occupied[b / 64] &= !(1 << (b % 64));
         }
+        self.slab[k as usize].next = self.free;
+        self.free = k;
         self.floor = at.as_u64();
         Some((at, event))
     }
@@ -200,7 +255,7 @@ impl EventQueue {
 
 /// Reference event queue: one global binary heap, the implementation the
 /// timing wheel replaced. Same contract as [`EventQueue`]; kept as the
-/// property-test oracle and benchmark baseline.
+/// property-test oracle.
 #[derive(Debug, Default)]
 pub struct HeapEventQueue {
     heap: BinaryHeap<Reverse<Scheduled>>,
@@ -342,6 +397,19 @@ mod tests {
             );
         }
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn popped_entries_are_reused_not_reallocated() {
+        let mut q = EventQueue::new();
+        for c in 0..10_000u64 {
+            q.schedule(Cycle::new(c + 5), Event::Step(CoreId::new(0)));
+            q.schedule(Cycle::new(c + 9), Event::Step(CoreId::new(1)));
+            q.pop();
+            q.pop();
+        }
+        assert!(q.is_empty());
+        assert!(q.slab.len() <= 4, "slab grew to {}", q.slab.len());
     }
 
     #[test]

@@ -59,7 +59,7 @@ impl System {
         }
         self.arbiters[i].request_flush_upto(upto);
         let actions = self.arbiters[i].try_advance();
-        self.apply_actions(core, actions);
+        self.apply_actions(actions);
         self.propagate_dependence_demand(core);
     }
 
@@ -86,8 +86,8 @@ impl System {
         self.put_tag_buf(sources);
     }
 
-    /// Executes a batch of arbiter actions for `core`'s arbiter.
-    pub(crate) fn apply_actions(&mut self, core: CoreId, actions: Vec<ArbiterAction>) {
+    /// Executes a batch of arbiter actions.
+    pub(crate) fn apply_actions(&mut self, actions: Vec<ArbiterAction>) {
         for action in actions {
             match action {
                 ArbiterAction::StartEpochFlush(tag) => self.start_epoch_flush(tag),
@@ -108,13 +108,12 @@ impl System {
                 ArbiterAction::NotifyDependent { source, dependent } => {
                     let j = dependent.core.index();
                     let acts = self.arbiters[j].dependence_satisfied(source);
-                    self.apply_actions(dependent.core, acts);
+                    self.apply_actions(acts);
                     self.propagate_dependence_demand(dependent.core);
                 }
                 ArbiterAction::EpochPersisted(tag) => self.on_epoch_persisted(tag),
             }
         }
-        let _ = core;
     }
 
     /// Step 1–3 of the Figure 8 handshake, computed as a timed cascade:
@@ -407,7 +406,7 @@ impl System {
                 continue;
             }
             let acts = self.arbiters[j].dependence_satisfied(tag);
-            self.apply_actions(CoreId::new(j as u32), acts);
+            self.apply_actions(acts);
             self.propagate_dependence_demand(CoreId::new(j as u32));
         }
         // Wake every core parked on this epoch.

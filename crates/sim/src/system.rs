@@ -9,11 +9,12 @@ use pbm_noc::{Mesh, MessageClass};
 use pbm_nvram::{CrashReplay, DurableSnapshot, LineValue, McTiming, NvramDevice, UndoLog};
 use pbm_obs::{Observer, Sampler};
 use pbm_types::{
-    Addr, BankId, BarrierKind, ConfigError, CoreId, Cycle, EpochId, EpochPhase, EpochTag, LineAddr,
-    MetricSample, NodeId, SimStats, SystemConfig, TraceEvent, TraceEventKind,
+    Addr, BankId, BarrierKind, ConfigError, CoreId, Cycle, EpochId, EpochPhase, EpochTag,
+    FxHashMap, FxHashSet, LineAddr, MetricSample, NodeId, SimStats, SystemConfig, TraceEvent,
+    TraceEventKind,
 };
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
+use std::collections::{BTreeMap, BinaryHeap, HashMap};
 
 /// Byte addresses at or above this boundary are *volatile*: never epoch
 /// tagged, never logged, excluded from persistence checking. Workloads put
@@ -83,7 +84,7 @@ pub(crate) struct Scratch {
 pub(crate) struct L1State {
     pub array: CacheArray,
     /// Lines this L1 holds with write permission.
-    pub exclusive: HashSet<LineAddr>,
+    pub exclusive: FxHashSet<LineAddr>,
 }
 
 #[derive(Debug)]
@@ -110,13 +111,13 @@ pub struct System {
     pub(crate) banks: Vec<BankState>,
     pub(crate) arbiters: Vec<EpochArbiter>,
     /// Architecturally-atomic spin locks: line -> holder.
-    pub(crate) locks: HashMap<LineAddr, CoreId>,
+    pub(crate) locks: FxHashMap<LineAddr, CoreId>,
     /// Cores parked until the given epoch persists.
-    pub(crate) waiters: HashMap<EpochTag, Vec<CoreId>>,
+    pub(crate) waiters: FxHashMap<EpochTag, Vec<CoreId>>,
     /// Pending flush-trigger attribution per core.
     pub(crate) flush_reasons: Vec<BTreeMap<EpochId, FlushReason>>,
     /// BSP: cycle by which an epoch's undo-log records are durable.
-    pub(crate) log_ready: HashMap<EpochTag, Cycle>,
+    pub(crate) log_ready: FxHashMap<EpochTag, Cycle>,
     pub(crate) queue: EventQueue,
     pub(crate) scratch: Scratch,
     pub(crate) now: Cycle,
@@ -160,7 +161,7 @@ impl System {
         let l1s = (0..cfg.cores)
             .map(|_| L1State {
                 array: CacheArray::new(cfg.l1_sets(), cfg.l1_assoc, 0),
-                exclusive: HashSet::new(),
+                exclusive: FxHashSet::default(),
             })
             .collect();
         let banks = (0..cfg.llc_banks)
@@ -183,10 +184,10 @@ impl System {
             l1s,
             banks,
             arbiters,
-            locks: HashMap::new(),
-            waiters: HashMap::new(),
+            locks: FxHashMap::default(),
+            waiters: FxHashMap::default(),
             flush_reasons: vec![BTreeMap::new(); cfg.cores],
-            log_ready: HashMap::new(),
+            log_ready: FxHashMap::default(),
             queue: EventQueue::new(),
             scratch: Scratch::default(),
             now: Cycle::ZERO,
@@ -413,7 +414,7 @@ impl System {
                         bank,
                     });
                     let actions = self.arbiters[core.index()].bank_ack(epoch);
-                    self.apply_actions(core, actions);
+                    self.apply_actions(actions);
                     // The next epoch of this core may have stalled on IDT
                     // sources; make sure those sources are asked to flush.
                     self.propagate_dependence_demand(core);

@@ -30,6 +30,7 @@ pub mod bug;
 mod addr;
 mod config;
 mod error;
+mod hash;
 mod ids;
 mod kinds;
 mod obs;
@@ -39,6 +40,7 @@ mod time;
 pub use addr::{Addr, LineAddr, LINE_SIZE, LINE_SIZE_BITS};
 pub use config::{ConfigBuilder, SystemConfig};
 pub use error::ConfigError;
+pub use hash::{FxHashMap, FxHashSet, FxHasher};
 pub use ids::{BankId, CoreId, EpochId, EpochTag, McId, NodeId, ThreadId};
 pub use kinds::{BarrierKind, FlushMode, PersistencyKind};
 pub use obs::{

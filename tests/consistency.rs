@@ -1,5 +1,5 @@
 //! Crash-consistency integration tests: random multithreaded workloads,
-//! every barrier variant, arbitrary crash points — the persistency model's
+//! every barrier variant, every crash point — the persistency model's
 //! guarantees must hold at all of them.
 //!
 //! The random-program generator lives in `pbm_workloads::random` and is
@@ -7,6 +7,7 @@
 //! exposes a bug here can be replayed there (and vice versa).
 
 use pbm::prelude::*;
+use pbm_check::{run_case, CaseSpec};
 use pbm_workloads::random::{programs, random_programs, RandomProgramParams};
 use proptest::prelude::*;
 
@@ -17,21 +18,50 @@ fn small_cfg(barrier: BarrierKind, persistency: PersistencyKind) -> SystemConfig
     cfg
 }
 
-fn check_bep_programs(programs: Vec<Program>, barrier: BarrierKind, seed: u64) {
-    let cfg = small_cfg(barrier, PersistencyKind::BufferedEpoch);
-    let mut sys = System::new(cfg, programs).expect("valid config");
-    sys.enable_checking();
-    let stats = sys.run();
-    let ck = sys.checker().expect("checking enabled");
-    let horizon = stats.cycles + 50_000;
-    for k in 0..40 {
-        let at = Cycle::new(horizon * k / 39);
-        let snap = sys.persistent_snapshot_at(at);
-        ck.check_bep(&snap)
-            .unwrap_or_else(|v| panic!("{barrier} seed={seed}: violation at {at}: {v}"));
+/// Runs `programs` under `small_cfg` through [`run_case`]: the recorded
+/// dependence graph must be acyclic (deadlock freedom), and the model's
+/// guarantee must hold at every crash point — cycle 0 and each instant the
+/// durable state (under BSP, its undo-log recovery) changes.
+fn check_every_crash_point(
+    programs: Vec<Program>,
+    barrier: BarrierKind,
+    persistency: PersistencyKind,
+    bsp_epoch_size: u64,
+    seed: u64,
+) {
+    let spec = CaseSpec {
+        programs,
+        barrier,
+        persistency,
+        perturb_seed: None,
+        bsp_epoch_size,
+        seed,
+    };
+    let mut cfg = small_cfg(barrier, persistency);
+    cfg.bsp_epoch_size = bsp_epoch_size;
+    assert_eq!(
+        spec.config(),
+        cfg,
+        "run_case simulates the small test system"
+    );
+    match run_case(&spec) {
+        Ok(ok) => assert!(
+            ok.crash_points > 1,
+            "{barrier} seed={seed}: nothing persisted"
+        ),
+        Err(failure) => panic!("{barrier} {persistency} seed={seed}: {failure}"),
     }
-    // The recorded dependence graph must be acyclic (deadlock freedom).
-    assert!(ck.hb_graph().is_acyclic(), "{barrier}: cyclic dependences");
+}
+
+fn check_bep_programs(programs: Vec<Program>, barrier: BarrierKind, seed: u64) {
+    let epoch = SystemConfig::small_test().bsp_epoch_size;
+    check_every_crash_point(
+        programs,
+        barrier,
+        PersistencyKind::BufferedEpoch,
+        epoch,
+        seed,
+    );
 }
 
 fn check_bep_everywhere(seed: u64, barrier: BarrierKind) {
@@ -53,22 +83,16 @@ fn bep_invariants_hold_for_every_lazy_barrier() {
 fn bsp_recovery_is_atomic_for_every_lazy_barrier() {
     for barrier in BarrierKind::LAZY_VARIANTS {
         for seed in [11u64, 12] {
-            let mut cfg = small_cfg(barrier, PersistencyKind::BufferedStrictBulk);
-            cfg.bsp_epoch_size = 7;
+            let cores = SystemConfig::small_test().cores;
             let params = RandomProgramParams::mixed(50, 12);
-            let programs = random_programs(seed, cfg.cores, &params);
-            let mut sys = System::new(cfg, programs).expect("valid config");
-            sys.enable_checking();
-            let stats = sys.run();
-            let ck = sys.checker().expect("checking enabled");
-            let horizon = stats.cycles + 50_000;
-            for k in 0..40 {
-                let at = Cycle::new(horizon * k / 39);
-                let snap = sys.persistent_snapshot_at(at);
-                let (recovered, _) = snap.recover_with(sys.undo_log());
-                ck.check_bsp_recovered(&recovered)
-                    .unwrap_or_else(|v| panic!("{barrier} seed={seed}: violation at {at}: {v}"));
-            }
+            let programs = random_programs(seed, cores, &params);
+            check_every_crash_point(
+                programs,
+                barrier,
+                PersistencyKind::BufferedStrictBulk,
+                7,
+                seed,
+            );
         }
     }
 }
@@ -101,7 +125,7 @@ fn strict_write_through_persists_in_program_order() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Random seeds, random crash points: LB++ never violates BEP.
+    /// Random programs, every crash point: LB++ never violates BEP.
     #[test]
     fn prop_lbpp_bep_consistency(
         case in programs(4, RandomProgramParams::mixed(60, 16))
